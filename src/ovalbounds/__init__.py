@@ -71,10 +71,8 @@ from .regions import (
     QuasiOval,
     RegionUnion,
     boundary_polyline,
-    bounding_box,
     build_regions,
     component_analysis,
-    contains,
 )
 from .verify import (
     InclusionReport,

@@ -19,8 +19,6 @@ from .errors import (
     CriticalModePresent,
     EpsilonTooLarge,
     InputError,
-    NonPositiveFrequency,
-    NotPositiveDefinite,
     OvalBoundsError,
     SingularFit,
 )
@@ -229,15 +227,15 @@ def _build_with_override(form, split, foci, method, extension):
     union = build_regions(form, split, foci, method)
     if extension is None:
         return union
-    prims = []
-    for p in union.primitives:
-        if isinstance(p, QuasiOval):
-            prims.append(QuasiOval(p.focus_plus, p.focus_minus, extension, p.q))
-        elif isinstance(p, Disk):
-            prims.append(Disk(p.center, extension))
-        else:
-            prims.append(p)
-    return RegionUnion(union.method, tuple(prims), union.mode_labels)
+    if union.method is Method.BRAUER:
+        raise InputError("--extension does not apply to BRAUER double ovals")
+    prims = tuple(
+        QuasiOval(p.focus_plus, p.focus_minus, extension, p.q)
+        if isinstance(p, QuasiOval)
+        else Disk(p.center, extension)
+        for p in union.primitives
+    )
+    return RegionUnion(union.method, prims, union.mode_labels)
 
 
 def _cmd_analyze(args) -> int:
@@ -401,11 +399,15 @@ def _parser() -> argparse.ArgumentParser:
             help="region method (repeatable)",
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--rtol", type=float, default=None, help="tolerance override")
-        p.add_argument(
-            "--extension", type=float, default=None, help="override region extension"
-        )
         p.set_defaults(methods_default=methods_default)
+
+    def extension(p):
+        p.add_argument(
+            "--extension",
+            type=float,
+            default=None,
+            help="override the disk radius or oval extension (not BRAUER)",
+        )
 
     p = sub.add_parser("analyze", help="modal form, splits, proportional fit")
     p.add_argument("--input", required=True)
@@ -415,6 +417,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="build region unions and report them")
     common(p, ["MODAL_OVAL_NORM"])
+    extension(p)
     p.set_defaults(func=_cmd_regions)
 
     p = sub.add_parser("overdamped", help="certificates and interval bounds")
@@ -431,6 +434,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="render selected unions to SVG")
     common(p, ["MODAL_OVAL_NORM"])
+    extension(p)
     p.add_argument("--output", required=True, help="SVG output path")
     p.add_argument("--resolution", type=int, default=512)
     p.set_defaults(func=_cmd_plot)
@@ -460,10 +464,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (InputError, NotPositiveDefinite, NonPositiveFrequency, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OvalBoundsError as exc:
+    except (OvalBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,6 +98,11 @@ class ModalSplit:
         return spectral_norm(self.Dprime)
 
     @property
+    def dprime_rowsums(self) -> np.ndarray:
+        """Absolute row sums of Dprime, the per-mode perturbation size."""
+        return np.sum(np.abs(self.Dprime.array), axis=1)
+
+    @property
     def dprime_frobenius(self) -> float:
         return float(np.linalg.norm(self.Dprime.array, "fro"))
 

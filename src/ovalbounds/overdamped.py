@@ -93,10 +93,13 @@ class EtaEnvelope:
             object.__setattr__(self, name, a)
 
 
+def _pencil_max(M: np.ndarray, C: np.ndarray, K: np.ndarray, mu: float) -> float:
+    return float(np.linalg.eigvalsh(mu * mu * M + mu * C + K)[-1])
+
+
 def pencil_max_eigenvalue(sys: DampedSystem, mu: float) -> float:
     """Largest eigenvalue of Q(mu) = mu^2 M + mu C + K."""
-    Q = mu * mu * sys.M.array + mu * sys.C.array + sys.K.array
-    return float(np.linalg.eigvalsh(Q)[-1])
+    return _pencil_max(sys.M.array, sys.C.array, sys.K.array, mu)
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
@@ -123,10 +126,16 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
     of every Rayleigh quotient quadratic), and the two sign changes are then
     bisected.  An empty interval is a valid answer.
     """
-    min_m = float(np.linalg.eigvalsh(sys.M.array)[0])
-    lo = -2.0 * spectral_norm(sys.C) / min_m - 1.0
+    return _definiteness_interval(sys.M.array, sys.C.array, sys.K.array, tol)
+
+
+def _definiteness_interval(
+    M: np.ndarray, C: np.ndarray, K: np.ndarray, tol: float
+) -> DefinitenessInterval:
+    min_m = float(np.linalg.eigvalsh(M)[0])
+    lo = -2.0 * spectral_norm(C) / min_m - 1.0
     hi = 0.0
-    f = lambda mu: pencil_max_eigenvalue(sys, mu)
+    f = lambda mu: _pencil_max(M, C, K, mu)
     a, b = lo, hi
     for _ in range(200):
         if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
@@ -152,7 +161,7 @@ def _certificate_inputs(form: ModalForm, split: ModalSplit, variant: str):
     if variant == "norm":
         x = np.full(len(d), split.dprime_norm)
     elif variant == "gershgorin":
-        x = np.sum(np.abs(split.Dprime.array), axis=1)
+        x = split.dprime_rowsums
     else:
         raise ValueError(f"unknown certificate variant {variant!r}")
     return d, form.omega, x
@@ -249,13 +258,12 @@ def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
     Returns (d, overdamped) where the flag is d > 1; values at or below 1
     mean the system itself cannot be certified overdamped.
     """
-    is_overdamped = lambda g: not exact_definiteness_interval(
-        DampedSystem(sys.M, _scaled(sys.C, 1.0 / g), sys.K), tol
-    ).empty
+    M, C, K = sys.M.array, sys.C.array, sys.K.array
+    is_overdamped = lambda g: not _definiteness_interval(M, C * (1.0 / g), K, tol).empty
 
-    min_m = float(np.linalg.eigvalsh(sys.M.array)[0])
-    min_k = float(np.linalg.eigvalsh(sys.K.array)[0])
-    hi = spectral_norm(sys.C) / (2.0 * np.sqrt(min_m * min_k)) + 1.0
+    min_m = float(np.linalg.eigvalsh(M)[0])
+    min_k = float(np.linalg.eigvalsh(K)[0])
+    hi = spectral_norm(C) / (2.0 * np.sqrt(min_m * min_k)) + 1.0
     lo = hi
     for _ in range(60):
         lo *= 0.5
@@ -271,12 +279,6 @@ def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
             hi = mid
     d = 0.5 * (lo + hi)
     return d, bool(d > 1.0)
-
-
-def _scaled(S, factor: float):
-    from .matdense import SymMatrix
-
-    return SymMatrix(S.array * factor)
 
 
 def modal_eigenvalues_at_viscosity(form: ModalForm, eta: float) -> tuple[np.ndarray, np.ndarray]:

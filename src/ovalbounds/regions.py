@@ -1,10 +1,10 @@
 """Eigenvalue inclusion regions: disks, quasi/modified Cassini ovals, double
 ovals, the method constructors, and rasterized component analysis.
 
-Membership predicates are exact (no tolerance); every region type also
-exposes a vectorized signed margin (right side minus left side of its
-defining inequality, positive inside) used for inclusion audits, contour
-extraction and rasterization.
+Membership predicates are exact (no tolerance).  Every region type has one
+signed margin (right side minus left side of its defining inequality,
+positive inside) that takes a scalar or an array; membership, inclusion
+audits, contour extraction and rasterization all call it.
 """
 
 from __future__ import annotations
@@ -46,21 +46,27 @@ class Box:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
 
+class _Primitive:
+    """Shared membership of the region primitives.
+
+    Each primitive defines one ``margin(z)``: the right side minus the left
+    side of its inequality, written with numpy so that z may be a scalar or
+    an array.  A point is a member exactly where its margin is nonnegative.
+    """
+
+    def contains(self, lam: complex) -> bool:
+        return bool(self.margin(lam) >= 0.0)
+
+
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Primitive):
     """{lam : |lam - center| <= radius}."""
 
     center: complex
     radius: float
 
-    def margin(self, lam: complex) -> float:
-        return self.radius - abs(lam - self.center)
-
-    def margin_many(self, z: np.ndarray) -> np.ndarray:
+    def margin(self, z):
         return self.radius - np.abs(z - self.center)
-
-    def contains(self, lam: complex) -> bool:
-        return self.margin(lam) >= 0.0
 
     def bounding_box(self) -> Box:
         c, r = self.center, self.radius
@@ -76,7 +82,7 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class QuasiOval:
+class QuasiOval(_Primitive):
     """{lam : |lam - f+| |lam - f-| <= |lam| r + q}.
 
     q == 0 is the plain quasi Cassini oval; q > 0 the modified variant used
@@ -88,18 +94,10 @@ class QuasiOval:
     r: float
     q: float = 0.0
 
-    def margin(self, lam: complex) -> float:
-        return (abs(lam) * self.r + self.q) - abs(lam - self.focus_plus) * abs(
-            lam - self.focus_minus
-        )
-
-    def margin_many(self, z: np.ndarray) -> np.ndarray:
+    def margin(self, z):
         return (np.abs(z) * self.r + self.q) - np.abs(z - self.focus_plus) * np.abs(
             z - self.focus_minus
         )
-
-    def contains(self, lam: complex) -> bool:
-        return self.margin(lam) >= 0.0
 
     def modulus_bound(self) -> float:
         """Safe bound on |lam| over the member set."""
@@ -121,26 +119,16 @@ class QuasiOval:
 
 
 @dataclass(frozen=True)
-class DoubleOval:
+class DoubleOval(_Primitive):
     """{lam : prod_i |lam - foci[i]| <= bound |lam|^2} over two foci pairs."""
 
     foci: tuple[complex, complex, complex, complex]
     bound: float
 
-    def margin(self, lam: complex) -> float:
-        prod = 1.0
-        for f in self.foci:
-            prod *= abs(lam - f)
-        return self.bound * abs(lam) ** 2 - prod
-
-    def margin_many(self, z: np.ndarray) -> np.ndarray:
-        prod = np.ones_like(z, dtype=float)
-        for f in self.foci:
-            prod *= np.abs(z - f)
+    def margin(self, z):
+        f1, f2, f3, f4 = self.foci
+        prod = np.abs(z - f1) * np.abs(z - f2) * np.abs(z - f3) * np.abs(z - f4)
         return self.bound * np.abs(z) ** 2 - prod
-
-    def contains(self, lam: complex) -> bool:
-        return self.margin(lam) >= 0.0
 
     def modulus_bound(self) -> float:
         m = max(abs(f) for f in self.foci)
@@ -159,16 +147,6 @@ class DoubleOval:
 
 
 RegionPrimitive = Disk | QuasiOval | DoubleOval
-
-
-def contains(p: RegionPrimitive, lam: complex) -> bool:
-    """Exact membership predicate."""
-    return p.contains(lam)
-
-
-def bounding_box(p: RegionPrimitive) -> Box:
-    """Axis-aligned rectangle guaranteed to contain the member set."""
-    return p.bounding_box()
 
 
 class Method(str, enum.Enum):
@@ -218,18 +196,30 @@ class RegionUnion:
             box = box.merge(p.bounding_box())
         return box
 
-    def contains(self, lam: complex) -> bool:
-        return any(p.contains(lam) for p in self.primitives)
+    def best_margin(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Largest primitive margin at each point and the index of the first
+        primitive attaining it; a running maximum, so memory is O(len z)."""
+        best = self.primitives[0].margin(z)
+        index = np.zeros(np.shape(best), dtype=int)
+        for k, p in enumerate(self.primitives[1:], start=1):
+            m = p.margin(z)
+            better = m > best
+            best = np.where(better, m, best)
+            index = np.where(better, k, index)
+        return best, index
 
     def membership_many(self, z: np.ndarray) -> np.ndarray:
-        mask = np.zeros(z.shape, dtype=bool)
-        for p in self.primitives:
-            mask |= p.margin_many(z) >= 0.0
-        return mask
+        return self.best_margin(z)[0] >= 0.0
 
 
-def _rowsums_excluding_diagonal(Dprime: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(Dprime), axis=1)
+def _disk_pairs(method: Method, plus, minus, r_plus, r_minus) -> RegionUnion:
+    """One disk about each focus of every mode, the + disk first."""
+    prims = tuple(
+        Disk(complex(c), float(r))
+        for j in range(len(plus))
+        for c, r in ((plus[j], r_plus[j]), (minus[j], r_minus[j]))
+    )
+    return RegionUnion(method, prims, tuple((j,) for j in range(len(plus)) for _ in range(2)))
 
 
 def build_regions(
@@ -251,135 +241,72 @@ def build_regions(
     n = form.order
     D = form.D.array
     omega = form.omega
+    q = 0.0
 
-    if method in (
-        Method.UNDAMPED_DISK_NORM,
-        Method.UNDAMPED_DISK_COLSUM,
-        Method.UNDAMPED_OVAL_NORM,
-        Method.UNDAMPED_OVAL_REL,
-        Method.UNDAMPED_OVAL_COLSUM,
-        Method.UNDAMPED_OVAL_RELSUM,
-    ):
-        colsum = np.sum(np.abs(D), axis=0)
-        if method is Method.UNDAMPED_DISK_NORM:
-            rad = spectral_norm(D)
-            prims = []
-            labels = []
-            for j in range(n):
-                prims += [Disk(1j * omega[j], rad), Disk(-1j * omega[j], rad)]
-                labels += [(j,), (j,)]
-            return RegionUnion(method, tuple(prims), tuple(labels))
-        if method is Method.UNDAMPED_DISK_COLSUM:
-            prims = []
-            labels = []
-            for j in range(n):
-                prims += [Disk(1j * omega[j], colsum[j]), Disk(-1j * omega[j], colsum[j])]
-                labels += [(j,), (j,)]
-            return RegionUnion(method, tuple(prims), tuple(labels))
-        if method is Method.UNDAMPED_OVAL_NORM:
+    if method.name.startswith("UNDAMPED"):
+        plus, minus = 1j * omega, -1j * omega
+        if method in (Method.UNDAMPED_DISK_NORM, Method.UNDAMPED_OVAL_NORM):
             ext = np.full(n, spectral_norm(D))
+        elif method in (Method.UNDAMPED_DISK_COLSUM, Method.UNDAMPED_OVAL_COLSUM):
+            ext = np.sum(np.abs(D), axis=0)
         elif method is Method.UNDAMPED_OVAL_REL:
-            scaled = D / np.outer(omega, omega)
-            ext = spectral_norm(scaled) * omega**2
-        elif method is Method.UNDAMPED_OVAL_COLSUM:
-            ext = colsum
+            ext = spectral_norm(D / np.outer(omega, omega)) * omega**2
         else:  # UNDAMPED_OVAL_RELSUM
             # The diagonal term must stay in the sum: with it this is the
             # frequency-scaled column-sum bound; without it the set misses
             # plainly damped modes already at n = 1.
             ext = np.sum(np.abs(D) / np.outer(omega, omega), axis=0) * omega**2
-        prims = tuple(
-            QuasiOval(1j * omega[j], -1j * omega[j], float(ext[j])) for j in range(n)
-        )
-        return RegionUnion(method, prims, tuple((j,) for j in range(n)))
-
-    if len(foci) != n or split.order != n:
-        raise InputError("form, split and foci orders disagree")
-    lam_p = foci.lambda_plus
-    lam_m = foci.lambda_minus
-    dp_norm = split.dprime_norm
-    rsum = _rowsums_excluding_diagonal(split.Dprime.array)
-
-    if method in (Method.MODAL_DISK_NORM, Method.MODAL_DISK_ROWSUM, Method.MODAL_DISK_APPROX):
-        if foci.any_critical:
-            raise CriticalModePresent(
-                f"critical mode at index {int(np.argmax(foci.critical))}"
-            )
-        smax, smin = mode_singular_values(split, foci)
-        prims = []
-        labels = []
-        if method is Method.MODAL_DISK_NORM:
-            kappa_s = float(np.max(smax) / np.min(smin))
-            radii = [kappa_s * dp_norm] * n
-        elif method is Method.MODAL_DISK_ROWSUM:
-            radii = [float(smax[j] / smin[j]) * rsum[j] for j in range(n)]
-        else:  # MODAL_DISK_APPROX: advisory linearization of the oval width
-            gaps = np.abs(lam_p - lam_m)
-            radii = None
-            for j in range(n):
-                prims += [
-                    Disk(complex(lam_p[j]), float(dp_norm * abs(lam_p[j]) / gaps[j])),
-                    Disk(complex(lam_m[j]), float(dp_norm * abs(lam_m[j]) / gaps[j])),
-                ]
-                labels += [(j,), (j,)]
-            return RegionUnion(method, tuple(prims), tuple(labels))
-        for j in range(n):
-            prims += [
-                Disk(complex(lam_p[j]), radii[j]),
-                Disk(complex(lam_m[j]), radii[j]),
-            ]
-            labels += [(j,), (j,)]
-        return RegionUnion(method, tuple(prims), tuple(labels))
-
-    if method is Method.MODAL_OVAL_NORM:
-        prims = tuple(
-            QuasiOval(complex(lam_p[j]), complex(lam_m[j]), dp_norm) for j in range(n)
-        )
-        return RegionUnion(method, prims, tuple((j,) for j in range(n)))
-
-    if method is Method.MODAL_OVAL_ROWSUM:
-        prims = tuple(
-            QuasiOval(complex(lam_p[j]), complex(lam_m[j]), float(rsum[j]))
-            for j in range(n)
-        )
-        return RegionUnion(method, prims, tuple((j,) for j in range(n)))
-
-    if method is Method.BRAUER:
-        if not split.is_diagonal_mode:
-            raise InputError("double ovals require the diagonal split")
-        if n == 1:
-            prim = DoubleOval(
-                (complex(lam_p[0]), complex(lam_m[0]), complex(lam_p[0]), complex(lam_m[0])),
-                0.0,
-            )
-            return RegionUnion(method, (prim,), ((0,),))
-        prims = []
-        labels = []
-        for p in range(n):
-            for q in range(p + 1, n):
-                prims.append(
-                    DoubleOval(
-                        (
-                            complex(lam_p[p]),
-                            complex(lam_m[p]),
-                            complex(lam_p[q]),
-                            complex(lam_m[q]),
-                        ),
-                        float(rsum[p] * rsum[q]),
-                    )
+    else:
+        if len(foci) != n or split.order != n:
+            raise InputError("form, split and foci orders disagree")
+        plus, minus = foci.lambda_plus, foci.lambda_minus
+        dp_norm = split.dprime_norm
+        rsum = split.dprime_rowsums
+        if method is Method.BRAUER:
+            if not split.is_diagonal_mode:
+                raise InputError("double ovals require the diagonal split")
+            # a single mode has no pair; its bound rsum[0]^2 is 0, leaving the
+            # double oval as the bare foci
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] or [(0, 0)]
+            prims = tuple(
+                DoubleOval(
+                    (complex(plus[a]), complex(minus[a]), complex(plus[b]), complex(minus[b])),
+                    float(rsum[a] * rsum[b]),
                 )
-                labels.append((p, q))
-        return RegionUnion(method, tuple(prims), tuple(labels))
+                for a, b in pairs
+            )
+            return RegionUnion(method, prims, tuple(tuple(sorted({a, b})) for a, b in pairs))
+        if method.name.startswith("MODAL_DISK"):
+            if foci.any_critical:
+                raise CriticalModePresent(
+                    f"critical mode at index {int(np.argmax(foci.critical))}"
+                )
+            if method is Method.MODAL_DISK_APPROX:
+                # advisory linearization of the oval width; the scalar abs()
+                # differs from np.abs in the last bit and fixes the radii
+                gaps = np.abs(plus - minus)
+                r_plus, r_minus = (
+                    [dp_norm * abs(f) / g for f, g in zip(fs, gaps)] for fs in (plus, minus)
+                )
+                return _disk_pairs(method, plus, minus, r_plus, r_minus)
+            smax, smin = mode_singular_values(split, foci)
+            if method is Method.MODAL_DISK_NORM:
+                ext = np.full(n, float(np.max(smax) / np.min(smin)) * dp_norm)
+            else:  # MODAL_DISK_ROWSUM
+                ext = smax / smin * rsum
+        elif method is Method.MODAL_OVAL_ROWSUM:
+            ext = rsum
+        else:  # MODAL_OVAL_NORM, MODIFIED_OVAL
+            ext = np.full(n, dp_norm)
+            if method is Method.MODIFIED_OVAL:
+                q = float(np.max(np.abs(form.omega**2 - split.omega0**2)))
 
-    if method is Method.MODIFIED_OVAL:
-        znorm = float(np.max(np.abs(form.omega**2 - split.omega0**2)))
-        prims = tuple(
-            QuasiOval(complex(lam_p[j]), complex(lam_m[j]), dp_norm, znorm)
-            for j in range(n)
-        )
-        return RegionUnion(method, prims, tuple((j,) for j in range(n)))
-
-    raise InputError(f"unhandled method {method}")
+    if "_DISK_" in method.name:
+        return _disk_pairs(method, plus, minus, ext, ext)
+    prims = tuple(
+        QuasiOval(complex(plus[j]), complex(minus[j]), float(ext[j]), q) for j in range(n)
+    )
+    return RegionUnion(method, prims, tuple((j,) for j in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +317,7 @@ def _implicit_grid(p: RegionPrimitive, box: Box, resolution: int):
     xs = np.linspace(box.xmin, box.xmax, resolution + 1)
     ys = np.linspace(box.ymin, box.ymax, resolution + 1)
     Z = xs[None, :] + 1j * ys[:, None]
-    return xs, ys, -p.margin_many(Z)
+    return xs, ys, -p.margin(Z)
 
 
 # Segment table for marching squares: case index -> list of (edge, edge)
@@ -591,7 +518,7 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
                 jy = min(max(int((f.imag - box.ymin) / dy), 0), ny - 1)
                 m[jy, jx] = True
         else:
-            m = p.margin_many(Z) >= 0.0
+            m = p.margin(Z) >= 0.0
             if not m.any():
                 raise ResolutionTooCoarse(
                     f"primitive {k} of {u.method.value} covers no cell at resolution {resolution}"

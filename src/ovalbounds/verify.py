@@ -100,19 +100,16 @@ def check_inclusion(spec: Spectrum, u: RegionUnion) -> InclusionReport:
     For each eigenvalue the margin is the maximum over primitives of
     (right side - left side) of the membership inequality, normalized by
     (1 + |lam|^2) so thresholds are scale free; the containing primitive is
-    the one attaining it.  Eigenvalues within BOUNDARY_TOL of a boundary
+    the first one attaining it.  Eigenvalues within BOUNDARY_TOL of a boundary
     count as contained.
     """
-    assigned: list[int | None] = []
-    margins = np.empty(len(spec))
-    for i, lam in enumerate(spec.values):
-        lam = complex(lam)
-        per = np.array([p.margin(lam) for p in u.primitives]) / (1.0 + abs(lam) ** 2)
-        best = int(np.argmax(per))
-        margins[i] = per[best]
-        assigned.append(best if per[best] >= -BOUNDARY_TOL else None)
+    best, index = u.best_margin(spec.values)
+    margins = best / (1.0 + np.abs(spec.values) ** 2)
+    assigned = tuple(
+        int(k) if m >= -BOUNDARY_TOL else None for k, m in zip(index, margins)
+    )
     all_contained = all(a is not None for a in assigned)
-    return InclusionReport(u.method.value, tuple(assigned), margins, all_contained)
+    return InclusionReport(u.method.value, assigned, margins, all_contained)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,34 @@ class TestVerifyCommand:
         assert report["MODAL_OVAL_NORM.all_contained"] is False
 
 
+class TestRejectedFlags:
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("regions", ["--rtol", "1e-3"]),
+            ("plot", ["--rtol", "1e-3"]),
+            ("verify", ["--rtol", "1e-3"]),
+            ("verify", ["--extension", "0.3"]),
+            ("regions", ["--method", "BRAUER", "--extension", "0.3"]),
+            ("plot", ["--method", "BRAUER", "--extension", "0.3"]),
+        ],
+    )
+    def test_exit_2_naming_the_flag(self, tmp_path, capsys, command, flags):
+        path = write_scalar(tmp_path, 1, 1, 1)
+        argv = [command, "--input", str(path)] + flags
+        if command == "plot":
+            argv += ["--output", str(tmp_path / "x.svg")]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects unknown flags
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and flags[-2] in captured.err
+        assert not (tmp_path / "x.svg").exists()
+
+
 class TestErrorPaths:
     def test_missing_file(self, tmp_path, capsys):
         code = cli.main(["analyze", "--input", str(tmp_path / "nope.json")])

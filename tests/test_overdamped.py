@@ -234,6 +234,17 @@ class TestMinDamping:
         assert flag
         assert d == pytest.approx(oracle, abs=1e-3)
 
+    def test_no_factorization_of_the_built_system(self, monkeypatch):
+        import ovalbounds.matdense as matdense
+
+        sys_ = overdamped_system(4, 3)
+        calls = []
+        real = matdense.cholesky
+        monkeypatch.setattr(matdense, "cholesky", lambda *a: calls.append(a) or real(*a))
+        d, flag = min_damping_d(sys_)
+        assert flag
+        assert calls == []
+
     def test_singular_damping(self):
         sys_ = DampedSystem(
             SymMatrix(np.eye(2)), SymMatrix(np.diag([4.0, 0.0])), SymMatrix(np.eye(2))

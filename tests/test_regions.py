@@ -12,10 +12,8 @@ from ovalbounds.regions import (
     QuasiOval,
     RegionUnion,
     boundary_polyline,
-    bounding_box,
     build_regions,
     component_analysis,
-    contains,
 )
 
 from conftest import random_system
@@ -48,24 +46,24 @@ def sample_members(p, count, seed=0):
 
 class TestContains:
     def test_origin_outside(self):
-        assert not contains(QuasiOval(1j, -1j, 0.3), 0.0)
+        assert not QuasiOval(1j, -1j, 0.3).contains(0.0)
 
     def test_focus_inside(self):
-        assert contains(QuasiOval(1j, -1j, 0.3), 1j)
+        assert QuasiOval(1j, -1j, 0.3).contains(1j)
 
     def test_near_focus_arithmetic(self):
         # |1.01i - i| |1.01i + i| = 0.01 * 2.01 = 0.0201 <= 0.3 * 1.01
-        assert contains(QuasiOval(1j, -1j, 0.3), 1.01j)
+        assert QuasiOval(1j, -1j, 0.3).contains(1.01j)
 
     def test_disk(self):
         d = Disk(-1.0 + 0j, 0.5)
-        assert contains(d, -1.4 + 0j)
-        assert not contains(d, -0.4 + 0j)
+        assert d.contains(-1.4 + 0j)
+        assert not d.contains(-0.4 + 0j)
 
     def test_double_oval(self):
         p = DoubleOval((1j, -1j, 2j, -2j), 0.5)
-        assert contains(p, 1j)
-        assert not contains(p, 10.0 + 0j)
+        assert p.contains(1j)
+        assert not p.contains(10.0 + 0j)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(1)
@@ -93,9 +91,48 @@ class TestContains:
             assert big.contains(z)
 
 
+# one primitive of each kind, with a modified oval among the quasi ovals
+KINDS = [
+    Disk(-1.5 + 0.2j, 0.7),
+    QuasiOval(-0.3 + 1.2j, -0.3 - 1.2j, 0.4),
+    QuasiOval(-1.0 + 0j, -2.5 + 0j, 0.3, 0.1),
+    DoubleOval((1j, -1j, -1.0 + 0j, -2.0 + 0j), 0.2),
+]
+
+
+def grid_points(count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3, 3, count) + 1j * rng.uniform(-3, 3, count)
+
+
+class TestMargin:
+    @pytest.mark.parametrize("p", KINDS, ids=lambda p: type(p).__name__)
+    def test_scalar_equals_array(self, p):
+        for z in grid_points(200, 5):
+            assert p.margin(z) == p.margin(np.array([z]))[0]
+            assert p.contains(z) == (p.margin(np.array([z]))[0] >= 0.0)
+
+    def test_best_margin_is_first_column_max(self):
+        u = RegionUnion(Method.MODAL_OVAL_NORM, tuple(KINDS), tuple((j,) for j in range(4)))
+        z = grid_points(5000, 6)
+        stacked = np.stack([p.margin(z) for p in KINDS])
+        best, index = u.best_margin(z)
+        assert np.array_equal(best, stacked.max(axis=0))
+        assert np.array_equal(index, np.argmax(stacked, axis=0))
+        assert np.array_equal(u.membership_many(z), (stacked >= 0.0).any(axis=0))
+
+    def test_best_margin_ties_go_to_first_index(self):
+        twin = Disk(0j, 1.0)
+        u = RegionUnion(
+            Method.UNDAMPED_DISK_NORM, (Disk(5.0 + 0j, 0.1), twin, twin), ((0,), (1,), (1,))
+        )
+        _, index = u.best_margin(grid_points(100, 7))
+        assert np.all(index == 1)
+
+
 class TestBoundingBox:
     def test_disk_exact(self):
-        b = bounding_box(Disk(-1.0 + 0j, 0.5))
+        b = Disk(-1.0 + 0j, 0.5).bounding_box()
         assert (b.xmin, b.xmax, b.ymin, b.ymax) == (-1.5, -0.5, -0.5, 0.5)
 
     def test_oval_formula(self):

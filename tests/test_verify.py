@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovalbounds.matdense import SymMatrix
+from ovalbounds.matdense import Spectrum, SymMatrix
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, to_modal
 from ovalbounds.regions import (
     Method,
@@ -169,6 +169,21 @@ class TestCheckInclusion:
         assert not report.all_contained
         assert report.min_margin < -1e-9
         assert any(a is None for a in report.assigned)
+
+    def test_assigned_exactly_where_membership_holds(self):
+        sys_ = random_system(4, 11)
+        form, split, foci = pipeline(sys_)
+        rng = np.random.default_rng(12)
+        for method in (Method.MODAL_OVAL_NORM, Method.BRAUER, Method.MODAL_DISK_ROWSUM):
+            u = build_regions(form, split, foci, method)
+            box = u.bounding_box()
+            z = rng.uniform(box.xmin, box.xmax, 3000) + 1j * rng.uniform(box.ymin, box.ymax, 3000)
+            best, _ = u.best_margin(z)
+            z = z[np.abs(best) / (1.0 + np.abs(z) ** 2) > 1e-6]  # off the boundary
+            report = check_inclusion(Spectrum(z, np.zeros(len(z))), u)
+            inside = u.membership_many(z)
+            assert 0 < np.sum(inside) < len(z)
+            assert [a is not None for a in report.assigned] == list(inside)
 
 
 class TestCompareRegions:
