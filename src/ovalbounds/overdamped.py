@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import CertificateMissing, EpsilonTooLarge
 from .matdense import DampedSystem, spectral_norm
@@ -102,6 +103,29 @@ def pencil_max_eigenvalue(sys: DampedSystem, mu: float) -> float:
     return _pencil_max(sys.M.array, sys.C.array, sys.K.array, mu)
 
 
+def _golden_max(f, a: float, b: float):
+    """Golden-section search for the maximum of a unimodal f on [a, b].
+
+    Endless generator: after each step yields (a, b, x, f(x)), the current
+    bracket and its best probe; the caller stops it.  Each step costs one
+    evaluation of f and shrinks the bracket by (sqrt 5 - 1) / 2.
+    """
+    g = 0.5 * (np.sqrt(5.0) - 1.0)
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while True:
+        if fc >= fd:
+            yield a, b, c, fc
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            yield a, b, d, fd
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+
+
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
     """Root of f (sign change assumed between lo and hi) by bisection."""
     flo = f(lo)
@@ -121,34 +145,23 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
     """Compute the definiteness interval by convex minimization.
 
     f(mu) = lambda_max(Q(mu)) is a pointwise maximum of convex quadratics
-    with positive leading coefficient, hence convex; ternary search locates
-    its minimum on [-2||C||/lambda_min(M) - 1, 0] (which brackets every root
-    of every Rayleigh quotient quadratic), and the two sign changes are then
-    bisected.  An empty interval is a valid answer.
+    with positive leading coefficient, hence convex.  A golden-section search
+    on [-2||C||/lambda_min(M) - 1, 0] (which brackets every root of every
+    Rayleigh quotient quadratic) stops at its first probe with f < 0, and the
+    two sign changes on either side of that probe are then bisected.  The
+    interval is declared empty only when the search has converged on the
+    minimum of f without finding a negative value.
     """
-    return _definiteness_interval(sys.M.array, sys.C.array, sys.K.array, tol)
-
-
-def _definiteness_interval(
-    M: np.ndarray, C: np.ndarray, K: np.ndarray, tol: float
-) -> DefinitenessInterval:
+    M, C, K = sys.M.array, sys.C.array, sys.K.array
     min_m = float(np.linalg.eigvalsh(M)[0])
     lo = -2.0 * spectral_norm(C) / min_m - 1.0
     hi = 0.0
     f = lambda mu: _pencil_max(M, C, K, mu)
-    a, b = lo, hi
-    for _ in range(200):
-        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
+    for a, b, mu_star, minus_f in _golden_max(lambda mu: -f(mu), lo, hi):
+        if minus_f > 0.0:
             break
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) <= f(m2):
-            b = m2
-        else:
-            a = m1
-    mu_star = 0.5 * (a + b)
-    if f(mu_star) >= 0.0:
-        return DefinitenessInterval.none()
+        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
+            return DefinitenessInterval.none()
     left = _bisect(f, lo, mu_star, tol)
     right = _bisect(f, mu_star, hi, tol)
     return DefinitenessInterval(left, right)
@@ -253,32 +266,37 @@ def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:
 def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
     """Minimal damping ratio d = min_x x'Cx / (2 sqrt(x'Mx x'Kx)).
 
-    Found by bisection on gamma using the equivalence: (M, C/gamma, K) is
-    overdamped (nonempty definiteness interval) exactly when gamma < d.
-    Returns (d, overdamped) where the flag is d > 1; values at or below 1
-    mean the system itself cannot be certified overdamped.
+    Since t x'Mx + x'Kx / t >= 2 sqrt(x'Mx x'Kx) with equality at
+    t = sqrt(x'Kx / x'Mx), d is the maximum over t > 0 of the smallest
+    eigenvalue of the pencil (C, tM + K/t).  Its logarithm is concave and
+    1-Lipschitz in s = log t, and every best t lies in
+    [lambda_min(K) / lambda_max(M), lambda_max(K) / lambda_min(M)]^(1/2), so
+    one golden-section search over s finds it; ``tol`` is the final width of
+    the s bracket and hence the relative accuracy of d.  The returned d is
+    an attained lower bound, clamped at 0, and exactly 0 when C is singular
+    to working precision.  Returns (d, overdamped) where the flag is d > 1;
+    values at or below 1 mean the system itself cannot be certified
+    overdamped.
     """
     M, C, K = sys.M.array, sys.C.array, sys.K.array
-    is_overdamped = lambda g: not _definiteness_interval(M, C * (1.0 / g), K, tol).empty
+    wm = np.linalg.eigvalsh(M)
+    wk = np.linalg.eigvalsh(K)
 
-    min_m = float(np.linalg.eigvalsh(M)[0])
-    min_k = float(np.linalg.eigvalsh(K)[0])
-    hi = spectral_norm(C) / (2.0 * np.sqrt(min_m * min_k)) + 1.0
-    lo = hi
-    for _ in range(60):
-        lo *= 0.5
-        if is_overdamped(lo):
+    def f(s: float) -> float:
+        t = np.exp(s)
+        w = scipy.linalg.eigh(C, t * M + K / t, eigvals_only=True, subset_by_index=[0, 0])
+        return float(w[0])
+
+    lo, hi = 0.5 * np.log(wk[0] / wm[-1]), 0.5 * np.log(wk[-1] / wm[0])
+    for a, b, _, best in _golden_max(f, lo, hi):
+        if b - a <= tol:
             break
-    else:
+    # For a singular C the computed best value is rounding noise, within about
+    # n eps lambda_max(C; B) of 0, and B = tM + K/t >= 2 sqrt(min M min K) I.
+    noise = 8.0 * len(wm) * np.finfo(float).eps * spectral_norm(C) / (2.0 * np.sqrt(wm[0] * wk[0]))
+    if best <= noise:
         return 0.0, False
-    while hi - lo > tol * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if is_overdamped(mid):
-            lo = mid
-        else:
-            hi = mid
-    d = 0.5 * (lo + hi)
-    return d, bool(d > 1.0)
+    return best, bool(best > 1.0)
 
 
 def modal_eigenvalues_at_viscosity(form: ModalForm, eta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matdense import Spectrum, complex_eig, spectral_norm
+from .matdense import Spectrum, _eig_sorted, complex_eig, spectral_norm
 from .modal import ModalForm
 from .regions import RegionUnion
 
@@ -52,23 +52,28 @@ def linearize(form: ModalForm, layout: str = "block") -> Linearization:
     return Linearization(A, layout)
 
 
-def qep_residuals(form: ModalForm, values: np.ndarray) -> np.ndarray:
-    """Smallest singular value of lam^2 I + lam D + Omega^2 per eigenvalue."""
-    n = form.order
-    D = form.D.array
-    W2 = np.diag(form.omega**2)
-    out = np.empty(len(values))
-    for i, lam in enumerate(values):
-        P = lam * lam * np.eye(n) + lam * D + W2
-        out[i] = np.linalg.svd(P, compute_uv=False)[-1]
-    return out
+def qep_residuals(form: ModalForm, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Eigenvector residuals ||Q(lam) x|| / ||x|| of Q(lam) = lam^2 I + lam D + Omega^2.
+
+    Column i of ``vectors`` is the vector x paired with ``values[i]``.  Each
+    residual bounds the smallest singular value of Q(lam) from above.
+    """
+    X = vectors
+    R = values**2 * X + values * (form.D.array @ X) + (form.omega**2)[:, None] * X
+    return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
 
 
 def true_spectrum(form: ModalForm) -> Spectrum:
-    """All 2n eigenvalues of the quadratic problem, with backward residuals."""
-    A = linearize(form, "block").A
-    values = complex_eig(A)
-    return Spectrum(values, qep_residuals(form, values))
+    """All 2n eigenvalues of the quadratic problem, with eigenvector residuals.
+
+    One eigendecomposition of the block linearization gives the values and
+    their right eigenvectors [u; x]; since W x = lam u and -W u - D x = lam x,
+    the lower half x satisfies Q(lam) x = 0, and the reported residual is
+    ||Q(lam) x|| / ||x||, an upper bound on the smallest singular value of
+    Q(lam).
+    """
+    values, vectors = _eig_sorted(linearize(form, "block").A, right=True)
+    return Spectrum(values, qep_residuals(form, values, vectors[form.order :]))
 
 
 @dataclass(frozen=True)

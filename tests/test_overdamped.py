@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from ovalbounds import cli
 from ovalbounds.errors import CertificateMissing, EpsilonTooLarge
 from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm, sym_eig
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, to_modal
@@ -245,6 +247,32 @@ class TestMinDamping:
         assert flag
         assert calls == []
 
+    def test_relative_accuracy_at_small_damping(self):
+        # weak duality: every t gives lambda_min(C; tM + K/t) <= d, every x
+        # gives d <= x'Cx / (2 sqrt(x'Mx x'Kx)); log of the lower bound is
+        # concave in s = log t, so a grid refined around its best point
+        # finds the maximum
+        for n in range(5, 11):
+            sys_ = cli.random_system(n, n, gamma=0.01)
+            M, C, K = sys_.M.array, sys_.C.array, sys_.K.array
+
+            def lowest(s):
+                t = np.exp(s)
+                w, V = scipy.linalg.eigh(C, t * M + K / t, subset_by_index=[0, 0])
+                return w[0], V[:, 0]
+
+            wm, wk = np.linalg.eigvalsh(M), np.linalg.eigvalsh(K)
+            grid = np.linspace(0.5 * np.log(wk[0] / wm[-1]), 0.5 * np.log(wk[-1] / wm[0]), 201)
+            for _ in range(4):
+                best = int(np.argmax([lowest(s)[0] for s in grid]))
+                h = grid[1] - grid[0]
+                grid = np.linspace(grid[best] - h, grid[best] + h, 201)
+            lower, x = max((lowest(s) for s in grid), key=lambda p: p[0])
+            upper = x @ C @ x / (2.0 * np.sqrt((x @ M @ x) * (x @ K @ x)))
+            d, flag = min_damping_d(sys_)
+            assert 1e-8 < d < 1e-4 and not flag
+            assert lower * (1.0 - 1e-7) <= d <= upper * (1.0 + 1e-7)
+
     def test_singular_damping(self):
         sys_ = DampedSystem(
             SymMatrix(np.eye(2)), SymMatrix(np.diag([4.0, 0.0])), SymMatrix(np.eye(2))
@@ -252,6 +280,25 @@ class TestMinDamping:
         d, flag = min_damping_d(sys_)
         assert not flag
         assert d == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_damping_ratio_and_interval_agree(n):
+    """min_damping_d's flag is the interval's nonemptiness, and a nonempty
+    interval is bounded by the n-th and (n+1)-th eigenvalues."""
+    for seed in range(4):
+        over = cli.random_system(n, seed, overdamped=True)
+        under = DampedSystem(over.M, SymMatrix(0.5 * over.C.array), over.K)
+        for sys_ in (over, under):
+            d, flag = min_damping_d(sys_)
+            iv = exact_definiteness_interval(sys_)
+            if abs(d - 1.0) < 1e-7:
+                continue
+            assert flag == (not iv.empty)
+            if flag:
+                vals = real_spectrum(sys_)
+                assert iv.lo == pytest.approx(vals[n - 1], rel=1e-9)
+                assert iv.hi == pytest.approx(vals[n], rel=1e-9)
 
 
 def admissible_perturbation(sys_: DampedSystem, eps: float, seed: int) -> DampedSystem:

@@ -105,6 +105,22 @@ class TestTrueSpectrum:
             for lam, res in zip(spec.values, spec.residuals):
                 assert res <= 1e-8 * spectral_scale(form, complex(lam))
 
+    def test_residual_bounds_smallest_singular_value(self):
+        # ||Q(lam) x|| / ||x|| >= sigma_min(Q(lam)) holds exactly; both sides
+        # are rounding-level numbers here, so the comparison allows one
+        # rounding error of Q's entries on top of the relative 1e-12.
+        eps = np.finfo(float).eps
+        for seed in range(30):
+            n = int(np.random.default_rng(seed).integers(1, 9))
+            form = to_modal(random_system(n, 1500 + seed))
+            spec = true_spectrum(form)
+            for lam, res in zip(spec.values, spec.residuals):
+                scale = spectral_scale(form, complex(lam))
+                Q = lam * lam * np.eye(n) + lam * form.D.array + np.diag(form.omega**2)
+                smallest = np.linalg.svd(Q, compute_uv=False)[-1]
+                assert res >= smallest * (1.0 - 1e-12) - n * eps * scale
+                assert res <= 1e-8 * scale
+
     def test_conjugate_closure(self):
         for seed in range(20):
             sys_ = random_system(int(np.random.default_rng(seed).integers(1, 9)), 600 + seed)
