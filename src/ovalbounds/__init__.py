@@ -41,7 +41,6 @@ from .modal import (
     cluster_frequencies,
     is_modally_damped,
     modal_split,
-    mode_condition_numbers,
     mode_foci,
     proportional_fit,
     spread_bounds,

@@ -27,8 +27,9 @@ ASYM_TOL = 1e-8
 PSD_TOL = 1e-8
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    """Contiguous read-only array of ``a`` (``dtype=None`` keeps its dtype)."""
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -206,12 +207,8 @@ class Spectrum:
         r = np.asarray(self.residuals, dtype=float)
         if v.shape != r.shape or v.ndim != 1:
             raise InputError("values and residuals must be 1-d and the same length")
-        v = v.copy()
-        r = r.copy()
-        v.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "residuals", r)
+        object.__setattr__(self, "values", _readonly(v.copy(), complex))
+        object.__setattr__(self, "residuals", _readonly(r.copy()))
 
     def __len__(self) -> int:
         return len(self.values)

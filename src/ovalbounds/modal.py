@@ -18,6 +18,7 @@ from .matdense import (
     RTOL,
     DampedSystem,
     SymMatrix,
+    _readonly,
     gen_sym_def_eig,
     solve_spd,
     spectral_norm,
@@ -49,10 +50,8 @@ class ModalForm:
             raise ValueError("frequencies must be strictly positive")
         if np.any(np.diff(omega) < 0):
             raise ValueError("frequencies must be ascending")
-        Phi.setflags(write=False)
-        omega.setflags(write=False)
-        object.__setattr__(self, "Phi", Phi)
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "Phi", _readonly(Phi))
+        object.__setattr__(self, "omega", _readonly(omega))
 
     @property
     def order(self) -> int:
@@ -77,12 +76,8 @@ class ModalSplit:
     mode: str
 
     def __post_init__(self):
-        r = np.ascontiguousarray(self.rotation, dtype=float)
-        w0 = np.ascontiguousarray(self.omega0, dtype=float)
-        r.setflags(write=False)
-        w0.setflags(write=False)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "omega0", w0)
+        object.__setattr__(self, "rotation", _readonly(self.rotation))
+        object.__setattr__(self, "omega0", _readonly(self.omega0))
 
     @property
     def order(self) -> int:
@@ -144,9 +139,7 @@ class ModeFoci:
 
     def __post_init__(self):
         for name in ("lambda_plus", "lambda_minus", "theta", "kappa", "critical"):
-            a = np.ascontiguousarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name), None))
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -270,14 +263,21 @@ def proportional_fit(form: ModalForm, W: SymMatrix | None = None) -> Proportiona
     )
 
 
-def quadratic_roots(d: float, omega: float) -> tuple[complex, complex]:
-    """Roots of x^2 + d x + omega^2, ordered (plus, minus) by the sign of the
-    discriminant square root."""
+def quadratic_roots(d, omega):
+    """Roots of x^2 + d x + omega^2, elementwise over arrays, ordered
+    (plus, minus) by the sign of the discriminant square root.
+
+    Scalar arguments give two complex scalars, arrays two complex arrays.
+    """
+    d = np.asarray(d, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     disc = d * d - 4.0 * omega * omega
-    s = np.sqrt(complex(disc))
+    s = np.sqrt(disc.astype(complex))
     lam_p = (-d + s) / 2.0
     lam_m = (-d - s) / 2.0
-    return complex(lam_p), complex(lam_m)
+    if lam_p.ndim == 0:
+        return complex(lam_p), complex(lam_m)
+    return lam_p, lam_m
 
 
 def mode_foci(form: ModalForm, split: ModalSplit) -> ModeFoci:
@@ -290,51 +290,32 @@ def mode_foci(form: ModalForm, split: ModalSplit) -> ModeFoci:
     """
     d = split.diag
     w = split.omega0
-    n = len(d)
-    lam_p = np.empty(n, dtype=complex)
-    lam_m = np.empty(n, dtype=complex)
-    for j in range(n):
-        lam_p[j], lam_m[j] = quadratic_roots(float(d[j]), float(w[j]))
+    lam_p, lam_m = quadratic_roots(d, w)
     theta = d / (2.0 * w)
     critical = np.abs(theta - 1.0) <= CRITICAL_TOL
-    kappa = np.full(n, np.nan)
+    kappa = np.full(len(d), np.nan)
     ok = ~critical
     kappa[ok] = np.sqrt((1.0 + theta[ok] ** 2) / np.abs(1.0 - theta[ok] ** 2))
     return ModeFoci(lam_p, lam_m, theta, kappa, critical)
 
 
-def eigenvector_matrix(d: float, omega: float) -> np.ndarray:
-    """Unit-column eigenvector matrix of [[0, w], [-w, -d]] (complex 2x2).
-
-    Columns span (w, lambda_plus) and (w, lambda_minus); singular exactly at
-    the critical damping d == 2 w.
-    """
-    lam_p, lam_m = quadratic_roots(d, omega)
-    S = np.array([[omega, omega], [lam_p, lam_m]], dtype=complex)
-    norms = np.sqrt(np.abs(S[0]) ** 2 + np.abs(S[1]) ** 2)
-    return S / norms
-
-
 def mode_singular_values(split: ModalSplit, foci: ModeFoci) -> tuple[np.ndarray, np.ndarray]:
-    """Largest/smallest singular values of the explicit per-mode eigenvector
-    matrices (NaN at critical modes, where the matrix is singular)."""
-    d = split.diag
+    """Largest/smallest singular values of the per-mode eigenvector matrices
+    with unit columns along (omega, lambda_plus) and (omega, lambda_minus).
+
+    In closed form: sigma_max^2 = 1 + |cos| of the angle between the columns,
+    and sigma_min = |det| / sigma_max with |det| = omega |lambda_plus -
+    lambda_minus| / (|col_plus| |col_minus|), which keeps its accuracy near
+    critical damping.  NaN at critical modes, where the matrix is singular.
+    """
     w = split.omega0
-    smax = np.full(len(d), np.nan)
-    smin = np.full(len(d), np.nan)
-    for j in range(len(d)):
-        if foci.critical[j]:
-            continue
-        s = np.linalg.svd(eigenvector_matrix(float(d[j]), float(w[j])), compute_uv=False)
-        smax[j], smin[j] = s[0], s[-1]
+    lam_p, lam_m = foci.lambda_plus, foci.lambda_minus
+    norms = np.hypot(w, np.abs(lam_p)) * np.hypot(w, np.abs(lam_m))
+    smax = np.sqrt(1.0 + np.abs(w * w + np.conj(lam_p) * lam_m) / norms)
+    smin = w * np.abs(lam_p - lam_m) / norms / smax
+    smax[foci.critical] = np.nan
+    smin[foci.critical] = np.nan
     return smax, smin
-
-
-def mode_condition_numbers(split: ModalSplit, foci: ModeFoci) -> np.ndarray:
-    """Exact 2-norm condition numbers of the explicit per-mode eigenvector
-    matrices (NaN at critical modes)."""
-    smax, smin = mode_singular_values(split, foci)
-    return smax / smin
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CertificateMissing, EpsilonTooLarge
-from .matdense import DampedSystem, spectral_norm
-from .modal import ModalForm, ModalSplit
+from .matdense import DampedSystem, _readonly, spectral_norm
+from .modal import ModalForm, ModalSplit, quadratic_roots
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ class OverdampedCertificate:
     p_plus: float
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.deltas, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "deltas", d)
+        object.__setattr__(self, "deltas", _readonly(self.deltas))
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,7 @@ class EtaEnvelope:
 
     def __post_init__(self):
         for name in ("minus_lower", "minus_upper", "plus_lower", "plus_upper"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 def _pencil_max(M: np.ndarray, C: np.ndarray, K: np.ndarray, mu: float) -> float:
@@ -205,10 +201,9 @@ def sufficient_certificate(
             return CertificateRefusal(variant, "nonpositive damping gap", j)
         if deltas[j] <= 0.0:
             return CertificateRefusal(variant, "nonpositive delta", j)
-    roots_lo = 0.5 * (-d + x - np.sqrt(deltas))
-    roots_hi = 0.5 * (-d + x + np.sqrt(deltas))
-    p_minus = float(np.max(roots_lo))
-    p_plus = float(np.min(roots_hi))
+    roots_hi, roots_lo = quadratic_roots(gap, omega)
+    p_minus = float(np.max(roots_lo.real))
+    p_plus = float(np.min(roots_hi.real))
     if not p_minus < p_plus:
         return CertificateRefusal(variant, "interval ordering failed", None)
     return OverdampedCertificate(variant, deltas, p_minus, p_plus)
@@ -233,14 +228,10 @@ def eigenvalue_intervals(
     if isinstance(cert, CertificateRefusal):
         raise CertificateMissing(f"{variant} certificate refused: {cert.reason}")
     d, omega, x = _certificate_inputs(form, split, variant)
-    outer_disc = np.sqrt((d + x) ** 2 - 4.0 * omega**2)
-    inner_disc = np.sqrt((d - x) ** 2 - 4.0 * omega**2)
-    mu_mm = 0.5 * (-d - x - outer_disc)
-    mu_pp = 0.5 * (-d - x + outer_disc)
-    mu_mp = 0.5 * (-d + x - inner_disc)
-    mu_pm = 0.5 * (-d + x + inner_disc)
-    lower = tuple((float(mu_mm[j]), float(mu_mp[j])) for j in range(len(d)))
-    upper = tuple((float(mu_pm[j]), float(mu_pp[j])) for j in range(len(d)))
+    outer_p, outer_m = quadratic_roots(d + x, omega)
+    inner_p, inner_m = quadratic_roots(d - x, omega)
+    lower = tuple(zip(outer_m.real.tolist(), inner_m.real.tolist()))
+    upper = tuple(zip(inner_p.real.tolist(), outer_p.real.tolist()))
     return IntervalBounds(variant, lower, upper)
 
 
@@ -259,8 +250,8 @@ def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:
     disc = c * c - 4.0 * m * k
     if disc < 0.0:
         return None
-    s = np.sqrt(disc)
-    return ((-c + s) / (2.0 * m), (-c - s) / (2.0 * m))
+    t_plus, t_minus = quadratic_roots(c / m, np.sqrt(k / m))
+    return t_plus.real, t_minus.real
 
 
 def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
@@ -309,10 +300,8 @@ def modal_eigenvalues_at_viscosity(form: ModalForm, eta: float) -> tuple[np.ndar
     disc = d * d - 4.0 * form.omega**2
     if np.any(disc < 0.0):
         raise ValueError(f"a mode is underdamped at viscosity {eta}")
-    s = np.sqrt(disc)
-    lam_minus = 0.5 * (-d - s)
-    lam_plus = 0.5 * (-d + s)
-    return np.sort(lam_minus), np.sort(lam_plus)
+    lam_plus, lam_minus = quadratic_roots(d, form.omega)
+    return np.sort(lam_minus.real), np.sort(lam_plus.real)
 
 
 def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
@@ -364,7 +353,5 @@ def _modal_interval(d: np.ndarray, omega: np.ndarray) -> tuple[float, float]:
     disc = d * d - 4.0 * omega**2
     if np.any(disc <= 0.0):
         return (0.0, 0.0)
-    s = np.sqrt(disc)
-    lo = np.max(0.5 * (-d - s))
-    hi = np.min(0.5 * (-d + s))
-    return float(lo), float(hi)
+    plus, minus = quadratic_roots(d, omega)
+    return float(np.max(minus.real)), float(np.min(plus.real))

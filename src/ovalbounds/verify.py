@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matdense import Spectrum, _eig_sorted, complex_eig, spectral_norm
+from .matdense import Spectrum, _eig_sorted, _readonly, complex_eig, spectral_norm
 from .modal import ModalForm
 from .regions import RegionUnion
 
@@ -22,9 +22,7 @@ class Linearization:
     layout: str
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.A, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "A", _readonly(self.A))
 
 
 def linearize(form: ModalForm, layout: str = "block") -> Linearization:
@@ -90,9 +88,7 @@ class InclusionReport:
     all_contained: bool
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.margins, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "margins", m)
+        object.__setattr__(self, "margins", _readonly(self.margins))
 
     @property
     def min_margin(self) -> float:

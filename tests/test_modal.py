@@ -6,12 +6,12 @@ from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm
 from ovalbounds.modal import (
     ModalForm,
     cluster_frequencies,
-    eigenvector_matrix,
     is_modally_damped,
     modal_split,
-    mode_condition_numbers,
     mode_foci,
+    mode_singular_values,
     proportional_fit,
+    quadratic_roots,
     spread_bounds,
     to_modal,
 )
@@ -252,6 +252,11 @@ class TestProportionalFit:
             assert fit.residual_norm >= split.dprime_frobenius - 1e-10
 
 
+def unit_column_eigenvectors(w, lam_p, lam_m):
+    S = np.array([[w, w], [lam_p, lam_m]])
+    return S / np.linalg.norm(S, axis=0)
+
+
 class TestModeFoci:
     def test_undamped(self):
         form = form_from([1.0], np.zeros((1, 1)))
@@ -300,15 +305,84 @@ class TestModeFoci:
             form = form_from([w], np.array([[d]]))
             split = modal_split(form)
             foci = mode_foci(form, split)
-            kappa = mode_condition_numbers(split, foci)
+            smax, smin = mode_singular_values(split, foci)
+            kappa = smax / smin
             assert kappa[0] >= foci.kappa[0] - 1e-12
 
-    def test_eigenvector_matrix_diagonalizes(self):
+    def test_singular_values_match_explicit_svd(self):
+        # the explicit matrix diagonalizes the mode's block [[0, w], [-w, -d]]
         for d, w in ((0.4, 1.3), (5.0, 1.0)):
-            S = eigenvector_matrix(d, w)
-            A = np.array([[0.0, w], [-w, -d]])
-            lam = np.linalg.solve(S, A @ S)
+            S = unit_column_eigenvectors(w, *quadratic_roots(d, w))
+            lam = np.linalg.solve(S, np.array([[0.0, w], [-w, -d]]) @ S)
             assert abs(lam[0, 1]) + abs(lam[1, 0]) <= 1e-12 * max(abs(d), w)
+        # theta = d / (2 omega) from 1e-3 to 1e6, densest near critical damping
+        near = 10.0 ** -np.arange(3.0, 10.5, 0.5)
+        thetas = np.unique(np.concatenate([np.geomspace(1e-3, 1e6, 91), 1.0 - near, 1.0 + near]))
+        thetas = thetas[thetas != 1.0]
+        for w in (0.3, 1.0, 7.0):
+            form = form_from(np.full(len(thetas), w), np.diag(2.0 * w * thetas))
+            split = modal_split(form)
+            foci = mode_foci(form, split)
+            assert not foci.any_critical
+            smax, smin = mode_singular_values(split, foci)
+            for j in range(len(thetas)):
+                S = unit_column_eigenvectors(w, foci.lambda_plus[j], foci.lambda_minus[j])
+                ref = np.linalg.svd(S, compute_uv=False)
+                assert abs(smax[j] - ref[0]) <= 1e-14 * ref[0]
+                tol = 1e-12 if abs(foci.theta[j] - 1.0) >= 1e-3 else 1e-9
+                assert abs(smin[j] - ref[1]) <= tol * ref[1], (w, foci.theta[j])
+
+    def test_singular_values_nan_at_critical(self):
+        form = form_from([1.0, 2.0], np.diag([2.0, 1.0]))
+        split = modal_split(form)
+        foci = mode_foci(form, split)
+        smax, smin = mode_singular_values(split, foci)
+        assert np.isnan(smax[0]) and np.isnan(smin[0])
+        assert np.isfinite(smax[1]) and np.isfinite(smin[1])
+
+
+RATIOS = (0.0, 0.3, 2.0, 5.0, 1e4)  # d / omega; 2 is critical damping
+
+
+def assert_array_call_matches_scalar_calls(d, w):
+    """The array call equals the per-element scalar calls bit for bit."""
+    lam_p, lam_m = quadratic_roots(d, w)
+    scalar = [quadratic_roots(float(a), float(b)) for a, b in zip(d, w)]
+    assert all(type(x) is complex for pair in scalar for x in pair)
+    assert lam_p.tobytes() == np.array([p for p, _ in scalar]).tobytes()
+    assert lam_m.tobytes() == np.array([m for _, m in scalar]).tobytes()
+    return lam_p, lam_m
+
+
+class TestQuadraticRoots:
+    def test_array_call_is_elementwise(self):
+        w = np.repeat([0.3, 1.0, 7.0], len(RATIOS))
+        d = np.tile(RATIOS, 3) * w
+        lam_p, lam_m = assert_array_call_matches_scalar_calls(d, w)
+        critical = np.tile(np.array(RATIOS) == 2.0, 3)
+        assert np.all(lam_p[critical] == -w[critical])
+        assert np.all(lam_m[critical] == -w[critical])
+
+    def test_array_call_is_elementwise_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            st.lists(
+                st.tuples(
+                    st.floats(0.0, 1e8, allow_nan=False),
+                    st.floats(1e-4, 1e4, allow_nan=False),
+                ),
+                min_size=1,
+                max_size=16,
+            )
+        )
+        def check(pairs):
+            d, w = np.array(pairs).T
+            assert_array_call_matches_scalar_calls(d, w)
+
+        check()
 
 
 class TestSpreadBounds:

@@ -215,9 +215,10 @@ class TestBuildRegions:
         assert radius >= float(np.max(foci.kappa)) * split.dprime_norm - 1e-12
 
         u = build_regions(form, split, foci, Method.MODAL_DISK_ROWSUM)
-        from ovalbounds.modal import mode_condition_numbers
+        from ovalbounds.modal import mode_singular_values
 
-        kappas = mode_condition_numbers(split, foci)
+        smax, smin = mode_singular_values(split, foci)
+        kappas = smax / smin
         rsums = np.sum(np.abs(split.Dprime.array), axis=1)
         for j in range(2):
             assert u.primitives[2 * j].radius == pytest.approx(kappas[j] * rsums[j])
