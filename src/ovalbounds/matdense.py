@@ -28,8 +28,10 @@ PSD_TOL = 1e-8
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
-    """Contiguous read-only array of ``a`` (``dtype=None`` keeps its dtype)."""
-    a = np.ascontiguousarray(a, dtype=dtype)
+    """Read-only contiguous copy of ``a`` (``dtype=None`` keeps its dtype), so
+    the caller's own array stays writable and later writes to it are not
+    seen."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -52,17 +54,24 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
         scale = np.max(np.abs(a)) if a.size else 0.0
+        if scale > 0.5 * np.finfo(float).max:  # a + a.T would overflow
+            raise InputError("matrix entries must not exceed half the largest double")
         if scale > 0 and np.max(np.abs(a - a.T)) > ASYM_TOL * scale:
             raise InputError("matrix is not symmetric within tolerance")
         object.__setattr__(self, "array", _readonly(0.5 * (a + a.T)))
 
     @classmethod
     def from_flat(cls, n: int, entries) -> "SymMatrix":
-        """Build from a row-major flat sequence of length n*n."""
-        a = np.asarray(list(entries), dtype=float)
+        """Build from a row-major flat sequence of n*n real numbers."""
+        try:
+            a = np.asarray(entries)
+        except ValueError as exc:  # ragged nesting
+            raise InputError(f"expected a flat list of numbers: {exc}") from exc
+        if a.ndim != 1 or a.dtype.kind not in "iuf":
+            raise InputError("expected a flat list of numbers")
         if a.size != n * n:
             raise InputError(f"expected {n * n} entries for order {n}, got {a.size}")
-        return cls(a.reshape(n, n))
+        return cls(a.astype(float).reshape(n, n))
 
     @property
     def order(self) -> int:
@@ -207,8 +216,8 @@ class Spectrum:
         r = np.asarray(self.residuals, dtype=float)
         if v.shape != r.shape or v.ndim != 1:
             raise InputError("values and residuals must be 1-d and the same length")
-        object.__setattr__(self, "values", _readonly(v.copy(), complex))
-        object.__setattr__(self, "residuals", _readonly(r.copy()))
+        object.__setattr__(self, "values", _readonly(v, complex))
+        object.__setattr__(self, "residuals", _readonly(r))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -242,13 +251,15 @@ def load_system(path) -> DampedSystem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object")
     for key in ("n", "M", "C", "K"):
         if key not in doc:
             raise InputError(f"{path}: missing key {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"{path}: n must be a positive integer, got {n!r}")
     mats = {}
     for key in ("M", "C", "K"):

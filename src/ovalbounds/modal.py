@@ -41,8 +41,8 @@ class ModalForm:
     D: SymMatrix
 
     def __post_init__(self):
-        Phi = np.ascontiguousarray(self.Phi, dtype=float)
-        omega = np.ascontiguousarray(self.omega, dtype=float)
+        Phi = _readonly(self.Phi)
+        omega = _readonly(self.omega)
         n = self.D.order
         if Phi.shape != (n, n) or omega.shape != (n,):
             raise ValueError("inconsistent modal form shapes")
@@ -50,8 +50,8 @@ class ModalForm:
             raise ValueError("frequencies must be strictly positive")
         if np.any(np.diff(omega) < 0):
             raise ValueError("frequencies must be ascending")
-        object.__setattr__(self, "Phi", _readonly(Phi))
-        object.__setattr__(self, "omega", _readonly(omega))
+        object.__setattr__(self, "Phi", Phi)
+        object.__setattr__(self, "omega", omega)
 
     @property
     def order(self) -> int:
@@ -200,7 +200,7 @@ def modal_split(
     if mode == "diagonal":
         partition = tuple((j, j + 1) for j in range(n))
         rotation = np.eye(n)
-        omega0 = form.omega.copy()
+        omega0 = form.omega
         Dr = D
     elif mode == "maximal":
         partition = cluster_frequencies(form.omega, reltol)

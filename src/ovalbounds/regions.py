@@ -320,53 +320,30 @@ def _implicit_grid(p: RegionPrimitive, box: Box, resolution: int):
     return xs, ys, -p.margin(Z)
 
 
-# Segment table for marching squares: case index -> list of (edge, edge)
-# pairs to connect.  Corner bits: 1 = bottom-left, 2 = bottom-right,
-# 4 = top-right, 8 = top-left (bit set when the corner is inside).
-_SEGMENTS = {
-    0: [],
-    1: [("left", "bottom")],
-    2: [("bottom", "right")],
-    3: [("left", "right")],
-    4: [("right", "top")],
-    5: None,  # ambiguous
-    6: [("bottom", "top")],
-    7: [("left", "top")],
-    8: [("top", "left")],
-    9: [("top", "bottom")],
-    10: None,  # ambiguous
-    11: [("top", "right")],
-    12: [("right", "left")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
-    15: [],
-}
-
-
-def _edge_point(which, ix, iy, xs, ys, G):
-    """Edge id and interpolated zero crossing for one cell edge."""
-    if which == "bottom":
-        a, b = G[iy, ix], G[iy, ix + 1]
-        t = a / (a - b)
-        return ("h", ix, iy), (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
-    if which == "top":
-        a, b = G[iy + 1, ix], G[iy + 1, ix + 1]
-        t = a / (a - b)
-        return ("h", ix, iy + 1), (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy + 1])
-    if which == "left":
-        a, b = G[iy, ix], G[iy + 1, ix]
-        t = a / (a - b)
-        return ("v", ix, iy), (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
-    a, b = G[iy, ix + 1], G[iy + 1, ix + 1]
-    t = a / (a - b)
-    return ("v", ix + 1, iy), (xs[ix + 1], ys[iy] + t * (ys[iy + 1] - ys[iy]))
+# Marching squares (Lorensen & Cline, SIGGRAPH 1987).  Corner bits: 1 =
+# bottom-left, 2 = bottom-right, 4 = top-right, 8 = top-left, set when the
+# corner is inside.  Row c holds the segments of case c as side pairs
+# (B)ottom, (R)ight, (T)op, (L)eft, -1 padded; the saddle cases 5 and 10
+# become rows 16 and 17 when the cell centre is inside.
+_CASES = np.array(
+    [
+        ["BRTL".index(side) for side in row] + [-1] * (4 - len(row))
+        for row in (
+            "", "LB", "BR", "LR", "RT", "LBRT", "BT", "LT", "TL",
+            "TB", "LTRB", "TR", "RL", "BR", "LB", "", "LTBR", "BLTR",
+        )
+    ]
+)
 
 
 def boundary_polyline(p: RegionPrimitive, resolution: int = 512) -> list[np.ndarray]:
     """Closed polylines tracing the primitive boundary (marching squares).
 
     Degenerate (zero-measure) primitives yield an empty list.  The grid is
-    the padded bounding box, so every contour closes inside it.
+    the padded bounding box, so every contour closes inside it.  Each grid
+    edge whose ends differ in sign carries one crossing, numbered so that
+    horizontal edges come first, then by column, then by row; every loop
+    starts at the lowest unused crossing.
     """
     if resolution < 32:
         raise InputError("resolution must be at least 32")
@@ -383,64 +360,57 @@ def boundary_polyline(p: RegionPrimitive, resolution: int = 512) -> list[np.ndar
         + 4 * inside[1:, 1:]
         + 8 * inside[1:, :-1]
     ).astype(np.int8)
-    boundary_cells = np.argwhere((cases != 0) & (cases != 15))
+    centre_inside = 0.25 * (Gs[:-1, :-1] + Gs[:-1, 1:] + Gs[1:, :-1] + Gs[1:, 1:]) <= 0
+    cases[(cases == 5) & centre_inside] = 16
+    cases[(cases == 10) & centre_inside] = 17
 
-    points: dict = {}
-    links: dict = {}
+    # Edge ids: horizontal edge (ix, iy) is ix*w + iy, vertical edge (ix, iy)
+    # is w*w + ix*w + iy, with w nodes per row; a cell's sides offset its key.
+    w = resolution + 1
+    side_offset = np.array([0, w * w + w, 1, w * w])
+    iy, ix = np.nonzero((cases != 0) & (cases != 15))
+    segs = _CASES[cases[iy, ix]].reshape(-1, 2)
+    ends = (np.repeat(ix * w + iy, 2)[:, None] + side_offset[segs])[segs[:, 0] >= 0].ravel()
 
-    def connect(e1, pt1, e2, pt2):
-        points.setdefault(e1, pt1)
-        points.setdefault(e2, pt2)
-        links.setdefault(e1, []).append(e2)
-        links.setdefault(e2, []).append(e1)
+    # One stable sort groups each crossing's segment ends in cell order, so a
+    # crossing's first neighbour comes from its lower or left cell.
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    new = np.diff(ends, prepend=-1) != 0
+    crossing = np.empty_like(order)
+    crossing[order] = np.cumsum(new) - 1
+    partner = crossing[order ^ 1]
+    heads = np.flatnonzero(new)
+    twice = np.diff(np.append(heads, ends.size)) == 2
+    first = partner[heads].tolist()
+    second = np.where(twice, partner[heads + twice], -1).tolist()
 
-    for iy, ix in boundary_cells:
-        iy, ix = int(iy), int(ix)
-        case = int(cases[iy, ix])
-        segs = _SEGMENTS[case]
-        if segs is None:  # saddle: decide by the cell-center sign
-            center = 0.25 * (
-                Gs[iy, ix] + Gs[iy, ix + 1] + Gs[iy + 1, ix] + Gs[iy + 1, ix + 1]
-            )
-            if case == 5:
-                segs = (
-                    [("left", "top"), ("bottom", "right")]
-                    if center <= 0
-                    else [("left", "bottom"), ("right", "top")]
-                )
-            else:  # case 10
-                segs = (
-                    [("bottom", "left"), ("top", "right")]
-                    if center <= 0
-                    else [("left", "top"), ("right", "bottom")]
-                )
-        for w1, w2 in segs:
-            e1, pt1 = _edge_point(w1, ix, iy, xs, ys, Gs)
-            e2, pt2 = _edge_point(w2, ix, iy, xs, ys, Gs)
-            connect(e1, pt1, e2, pt2)
+    # each crossing interpolated once, from its edge's first node to its last
+    horiz = ends[heads] < w * w
+    col, row = np.divmod(ends[heads] % (w * w), w)
+    col1, row1 = col + horiz, row + ~horiz
+    a, b = Gs[row, col], Gs[row1, col1]
+    t = a / (a - b)
+    points = np.column_stack(
+        (
+            np.where(horiz, xs[col] + t * (xs[col1] - xs[col]), xs[col]),
+            np.where(horiz, ys[row], ys[row] + t * (ys[row1] - ys[row])),
+        )
+    )
 
     loops = []
-    unused = set(links)
-    while unused:
-        start = min(unused)
+    used = [False] * len(first)
+    for start in range(len(first)):
+        if used[start]:
+            continue
         loop = [start]
-        unused.discard(start)
-        prev = None
-        cur = start
-        while True:
-            nxts = [e for e in links[cur] if e != prev]
-            if not nxts:
-                break
-            nxt = nxts[0]
-            if nxt == start:
-                break
-            if nxt not in unused:
-                break
-            loop.append(nxt)
-            unused.discard(nxt)
-            prev, cur = cur, nxt
-        pts = np.array([points[e] for e in loop] + [points[loop[0]]])
-        loops.append(pts)
+        used[start] = True
+        prev, cur = start, first[start]
+        while cur >= 0 and cur != start and not used[cur]:
+            loop.append(cur)
+            used[cur] = True
+            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
+        loops.append(points[loop + [start]])
     return loops
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matdense import Spectrum, _eig_sorted, _readonly, complex_eig, spectral_norm
+from .matdense import Spectrum, _eig_sorted, _readonly, complex_eig
 from .modal import ModalForm
 from .regions import RegionUnion
 
@@ -153,12 +153,3 @@ def layout_eigenvalue_gap(form: ModalForm) -> float:
     a = complex_eig(linearize(form, "block").A)
     b = complex_eig(linearize(form, "shuffled").A)
     return float(np.max(np.abs(a - b))) if len(a) else 0.0
-
-
-def spectral_scale(form: ModalForm, lam: complex) -> float:
-    """Residual normalization |lam|^2 + |lam| ||D|| + ||Omega^2||."""
-    return (
-        abs(lam) ** 2
-        + abs(lam) * spectral_norm(form.D)
-        + float(np.max(form.omega**2))
-    )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ovalbounds.cli import random_system  # noqa: F401  (shared by the test modules)
 from ovalbounds.matdense import DampedSystem, SymMatrix
 
 
@@ -19,14 +20,6 @@ def random_sym(n: int, rng) -> SymMatrix:
 def random_pd(n: int, rng, shift: float | None = None) -> SymMatrix:
     a = rng.standard_normal((n, n))
     return SymMatrix(a @ a.T + (n if shift is None else shift) * np.eye(n))
-
-
-def random_system(n: int, seed: int, gamma: float = 1.0) -> DampedSystem:
-    rng = np.random.default_rng(seed)
-    M = random_pd(n, rng)
-    K = random_pd(n, rng)
-    g = rng.standard_normal((n, n))
-    return DampedSystem(M, SymMatrix(gamma * (g @ g.T)), K)
 
 
 def system_with_modal_data(omega, D, seed: int = 0) -> DampedSystem:

@@ -264,3 +264,19 @@ class TestErrorPaths:
         path.write_text('{"n": 2, "M": [1, 2, 2, 1], "C": [0, 0, 0, 0], "K": [1, 0, 0, 1]}')
         assert cli.main(["analyze", "--input", str(path)]) == 2
         assert "M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": true, "M": [1.0], "C": [0.0], "K": [1.0]}',
+            '{"n": 1, "M": ["a"], "C": [0.0], "K": [1.0]}',
+            '{"n": 1, "M": 5, "C": [0.0], "K": [1.0]}',
+        ],
+    )
+    def test_malformed_values_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

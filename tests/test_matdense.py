@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,51 @@ class TestFileIO:
         path.write_text('{"n": 1, "M": [1.0], "C": [0.0]}')
         with pytest.raises(InputError):
             load_system(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": true, "M": [1.0], "C": [0.0], "K": [1.0]}',
+            '{"n": 1, "M": ["a"], "C": [0.0], "K": [1.0]}',
+            '{"n": 1, "M": 5, "C": [0.0], "K": [1.0]}',
+            '{"n": 1, "M": [1.0], "C": [1e308], "K": [1.0]}',
+            '[1.0]',
+        ],
+    )
+    def test_malformed_values_are_input_errors(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(InputError):
+            load_system(path)
+
+    def test_arbitrary_values_are_input_errors_or_valid(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+            lambda inner: (
+                st.lists(inner, max_size=5)
+                | st.dictionaries(st.text(max_size=2), inner, max_size=3)
+            ),
+            max_leaves=10,
+        )
+        numbers = st.lists(st.integers() | st.floats(), min_size=4, max_size=4)
+        path = tmp_path / "sys.json"
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.sampled_from("nMCK"), json_values | numbers)
+        def check(key, value):
+            doc = {"n": 2, "M": [2, 1, 1, 2], "C": [1, 0, 0, 1], "K": [3, 0, 0, 1]}
+            doc[key] = value
+            path.write_text(json.dumps(doc))
+            try:
+                sys_ = load_system(path)
+            except (InputError, NotPositiveDefinite):  # both end in exit 2
+                return
+            for S in (sys_.M, sys_.C, sys_.K):
+                assert np.all(np.isfinite(S.array))
+
+        check()
 
     def test_wrong_length(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from ovalbounds.errors import SingularFit
 from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm
 from ovalbounds.modal import (
     ModalForm,
+    ModalSplit,
     cluster_frequencies,
     is_modally_damped,
     modal_split,
@@ -58,6 +59,19 @@ class TestToModal:
             spectral_norm(form.Phi.T @ sys_.K.array @ form.Phi - np.diag(form.omega**2))
             <= 1e-9 * kscale
         )
+
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        Phi, w, rotation = np.eye(2), np.array([1.0, 2.0]), np.eye(2)
+        D = SymMatrix(np.diag([0.5, 0.8]))
+        form = ModalForm(Phi, w, D)
+        zero = SymMatrix(np.zeros((2, 2)))
+        split = ModalSplit(((0, 1), (1, 2)), D, zero, rotation, w, "diagonal")
+        Phi[0, 1] = w[0] = rotation[1, 0] = 3.0
+        assert np.array_equal(form.Phi, np.eye(2)) and np.array_equal(form.omega, [1.0, 2.0])
+        assert np.array_equal(split.rotation, np.eye(2))
+        assert np.array_equal(split.omega0, [1.0, 2.0])
+        for stored in (form.Phi, form.omega, split.rotation, split.omega0):
+            assert not stored.flags.writeable
 
 
 class TestModallyDamped:

@@ -327,6 +327,50 @@ class TestBoundaryPolyline:
             vals = np.array([p.margin(complex(x, y)) for x, y in loop[:-1]])
             assert np.max(np.abs(vals)) <= 10 * cell
 
+    @pytest.mark.parametrize("sign,case", [(1, 5), (-1, 10)])
+    @pytest.mark.parametrize("resolution", [33, 35])
+    @pytest.mark.parametrize("q", [0.995, 1.0])
+    def test_saddle_cell(self, sign, case, resolution, q):
+        # |lam^2 - f^2| <= q with f^2 = +-i: a lemniscate at q = 1 whose
+        # crossing point sits in the centre of one saddle cell, two ovals below
+        f = complex(np.exp(sign * 1j * np.pi / 4))
+        p = QuasiOval(f, -f, 0.0, q)
+        box = p.bounding_box().padded(0.05)
+        xs = np.linspace(box.xmin, box.xmax, resolution + 1)
+        ys = np.linspace(box.ymin, box.ymax, resolution + 1)
+        G = -p.margin(xs[None, :] + 1j * ys[:, None])
+        G[G == 0.0] = -np.finfo(float).tiny  # exact zeros count as inside
+        inside = G < 0.0
+        cases = inside[:-1, :-1] + 2 * inside[:-1, 1:] + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]
+        (iy,), (ix,) = np.nonzero((cases == 5) | (cases == 10))
+        assert cases[iy, ix] == case
+        centre_inside = 0.25 * (G[iy, ix] + G[iy, ix + 1] + G[iy + 1, ix] + G[iy + 1, ix + 1]) <= 0
+        assert centre_inside == (q == 1.0)
+
+        loops = boundary_polyline(p, resolution)
+        assert len(loops) == (1 if centre_inside else 2)
+
+        # every sign-changing grid edge gives exactly one vertex on one loop
+        expected = []
+        h = np.nonzero(inside[:, :-1] != inside[:, 1:])
+        a, b = G[h], G[h[0], h[1] + 1]
+        expected += zip(xs[h[1]] + a / (a - b) * (xs[h[1] + 1] - xs[h[1]]), ys[h[0]])
+        v = np.nonzero(inside[:-1, :] != inside[1:, :])
+        a, b = G[v], G[v[0] + 1, v[1]]
+        expected += zip(xs[v[1]], ys[v[0]] + a / (a - b) * (ys[v[0] + 1] - ys[v[0]]))
+        vertices = [tuple(pt) for loop in loops for pt in loop[:-1]]
+        assert sorted(vertices) == sorted(expected)
+
+        # every loop closes, and each of its steps stays inside one grid cell
+        for loop in loops:
+            assert np.array_equal(loop[0], loop[-1])
+            mid = 0.5 * (loop[1:] + loop[:-1])
+            jx = np.searchsorted(xs, mid[:, 0]) - 1
+            jy = np.searchsorted(ys, mid[:, 1]) - 1
+            for end in (loop[1:], loop[:-1]):
+                assert np.all((xs[jx] <= end[:, 0]) & (end[:, 0] <= xs[jx + 1]))
+                assert np.all((ys[jy] <= end[:, 1]) & (end[:, 1] <= ys[jy + 1]))
+
 
 class TestComponentAnalysis:
     def test_two_disjoint_disks(self):

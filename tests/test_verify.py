@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovalbounds.matdense import Spectrum, SymMatrix
+from ovalbounds.matdense import Spectrum, SymMatrix, spectral_norm
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, to_modal
 from ovalbounds.regions import (
     Method,
@@ -15,11 +15,19 @@ from ovalbounds.verify import (
     compare_regions,
     layout_eigenvalue_gap,
     linearize,
-    spectral_scale,
     true_spectrum,
 )
 
 from conftest import lightly_damped_system, random_system
+
+
+def spectral_scale(form: ModalForm, lam: complex) -> float:
+    """Residual normalization |lam|^2 + |lam| ||D|| + ||Omega^2||."""
+    return (
+        abs(lam) ** 2
+        + abs(lam) * spectral_norm(form.D)
+        + float(np.max(form.omega**2))
+    )
 
 
 def form_from(omega, D) -> ModalForm:
