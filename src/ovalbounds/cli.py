@@ -245,7 +245,7 @@ def _cmd_analyze(args) -> int:
     report: dict = {"n": sys_.order}
     report["omega"] = [float(w) for w in form.omega]
     report["modally_damped"] = bool(is_modally_damped(sys_, tol))
-    report["damping_norm"] = float(np.linalg.norm(form.D.array, 2))
+    report["damping_norm"] = form.damping_norm
     report["dprime_norm_diagonal"] = split.dprime_norm
     maximal = modal_split(form, "maximal")
     report["dprime_norm_maximal"] = maximal.dprime_norm

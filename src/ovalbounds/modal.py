@@ -10,6 +10,7 @@ split, the per-mode foci and the conditioning numbers computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class ModalForm:
     def order(self) -> int:
         return self.D.order
 
+    @cached_property
+    def damping_norm(self) -> float:
+        """Spectral norm of D, computed once."""
+        return spectral_norm(self.D)
+
 
 @dataclass(frozen=True)
 class ModalSplit:
@@ -88,8 +94,9 @@ class ModalSplit:
         """Rotated diagonal damping entries d_jj."""
         return np.diag(self.D0.array)
 
-    @property
+    @cached_property
     def dprime_norm(self) -> float:
+        """Spectral norm of Dprime, computed once."""
         return spectral_norm(self.Dprime)
 
     @property

@@ -317,7 +317,7 @@ def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
     """
     D = form.D.array
     off = D - np.diag(np.diag(D))
-    if np.max(np.abs(off), initial=0.0) > 1e-12 * max(spectral_norm(D), 1e-300):
+    if np.max(np.abs(off), initial=0.0) > 1e-12 * max(form.damping_norm, 1e-300):
         raise ValueError("eta envelope requires diagonal modal damping")
     if not 0.0 <= epsilon < 1.0:
         raise EpsilonTooLarge(f"epsilon must be in [0, 1), got {epsilon}")

@@ -10,6 +10,7 @@ audits, contour extraction and rasterization all call it.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,54 +173,276 @@ RIGOROUS_METHODS: frozenset[Method] = frozenset(
 )
 
 
+#: Elements (primitives x points) in each temporary of a union's margin
+#: evaluation: the points go through in chunks of this many over the
+#: primitive count of one kind, so memory stays bounded at any union size.
+#: At 2**15 the complex temporaries stay at 0.5 MB, and the widest union
+#: (BRAUER, n = 200) takes one point per chunk, its fastest layout.
+CHUNK_ELEMENTS = 1 << 15
+
+
+class _Kind:
+    """The primitives of one kind in a union, stored as arrays.
+
+    ``pos`` holds each primitive's position in the union, ascending.  Each
+    kind gives ``margins(z, absz)``, the (primitives x points) margins at a
+    chunk of points with the same operations in the same order as its
+    dataclass's ``margin``, and ``item(i)``, its i-th primitive as that
+    dataclass.
+    """
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def best_margin(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Largest margin of the kind at each point of the 1-d complex z and
+        the union position of the first primitive attaining it."""
+        best = np.empty(len(z))
+        index = np.empty(len(z), dtype=int)
+        step = max(1, CHUNK_ELEMENTS // len(self.pos))
+        for lo in range(0, len(z), step):
+            zc = z[lo : lo + step]
+            m = self.margins(zc, np.abs(zc))
+            k = np.argmax(m, axis=0)
+            best[lo : lo + step] = np.take_along_axis(m, k[None, :], axis=0)[0]
+            index[lo : lo + step] = self.pos[k]
+        return best, index
+
+
+class _Disks(_Kind):
+    """Disks as centers and radii."""
+
+    primitive = Disk
+
+    def __init__(self, pos, center, radius):
+        self.pos, self.center, self.radius = pos, center, radius
+
+    @classmethod
+    def pack(cls, pos, prims):
+        return cls(
+            pos,
+            np.array([p.center for p in prims], dtype=complex),
+            np.array([p.radius for p in prims], dtype=float),
+        )
+
+    def item(self, i) -> Disk:
+        return Disk(complex(self.center[i]), float(self.radius[i]))
+
+    def margins(self, z, absz):
+        return self.radius[:, None] - np.abs(z - self.center[:, None])
+
+
+class _Ovals(_Kind):
+    """Quasi ovals as foci f+, f- with r and q."""
+
+    primitive = QuasiOval
+
+    def __init__(self, pos, plus, minus, r, q):
+        self.pos, self.plus, self.minus, self.r, self.q = pos, plus, minus, r, q
+
+    @classmethod
+    def pack(cls, pos, prims):
+        return cls(
+            pos,
+            np.array([p.focus_plus for p in prims], dtype=complex),
+            np.array([p.focus_minus for p in prims], dtype=complex),
+            np.array([p.r for p in prims], dtype=float),
+            np.array([p.q for p in prims], dtype=float),
+        )
+
+    def item(self, i) -> QuasiOval:
+        return QuasiOval(
+            complex(self.plus[i]), complex(self.minus[i]), float(self.r[i]), float(self.q[i])
+        )
+
+    def margins(self, z, absz):
+        prod = np.abs(z - self.plus[:, None])
+        prod *= np.abs(z - self.minus[:, None])
+        m = absz * self.r[:, None]
+        m += self.q[:, None]
+        m -= prod
+        return m
+
+
+class _DoubleOvals(_Kind):
+    """Double ovals as a per-mode focus table (plus, minus), each primitive's
+    two table rows (a, b) and its bound: foci plus[a], minus[a], plus[b],
+    minus[b].  The distances to the table's foci are taken once per chunk
+    and gathered for the pairs."""
+
+    primitive = DoubleOval
+
+    def __init__(self, pos, plus, minus, a, b, bound):
+        self.pos, self.plus, self.minus = pos, plus, minus
+        self.a, self.b, self.bound = a, b, bound
+
+    @classmethod
+    def pack(cls, pos, prims):
+        foci = np.array([p.foci for p in prims], dtype=complex).reshape(-1, 2)
+        rows = np.arange(len(foci))
+        bound = np.array([p.bound for p in prims], dtype=float)
+        return cls(pos, foci[:, 0], foci[:, 1], rows[0::2], rows[1::2], bound)
+
+    def item(self, i) -> DoubleOval:
+        a, b = self.a[i], self.b[i]
+        foci = (self.plus[a], self.minus[a], self.plus[b], self.minus[b])
+        return DoubleOval(tuple(map(complex, foci)), float(self.bound[i]))
+
+    def margins(self, z, absz):
+        dplus = np.abs(z - self.plus[:, None])
+        dminus = np.abs(z - self.minus[:, None])
+        prod = np.take(dplus * dminus, self.a, axis=0)
+        m = np.take(dplus, self.b, axis=0)
+        prod *= m
+        prod *= np.take(dminus, self.b, axis=0, out=m)
+        np.multiply(self.bound[:, None], absz**2, out=m)
+        m -= prod
+        return m
+
+
+class _View(Sequence):
+    """Read-only sequence whose items are built when accessed."""
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._item(j) for j in range(self._len)[i])
+        return self._item(range(self._len)[i])
+
+    def __iter__(self):
+        return (self._item(j) for j in range(self._len))
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class _Primitives(_View):
+    """A union's primitives, packed by kind."""
+
+    def __init__(self, kinds):
+        self.kinds = tuple(k for k in kinds if len(k))
+        self._len = sum(map(len, self.kinds))
+        self._where = None
+
+    @classmethod
+    def pack(cls, prims) -> "_Primitives":
+        prims = tuple(prims)
+        kinds = []
+        for kind in (_Disks, _Ovals, _DoubleOvals):
+            pos = [k for k, p in enumerate(prims) if isinstance(p, kind.primitive)]
+            if pos:
+                kinds.append(kind.pack(np.array(pos), [prims[k] for k in pos]))
+        packed = cls(kinds)
+        if len(packed) != len(prims):
+            raise InputError("region primitives must be Disk, QuasiOval or DoubleOval values")
+        return packed
+
+    def _item(self, j):
+        if self._where is None:
+            where = [None] * self._len
+            for kind in self.kinds:
+                for i, k in enumerate(kind.pos.tolist()):
+                    where[k] = (kind, i)
+            self._where = where
+        kind, i = self._where[j]
+        return kind.item(i)
+
+
+class _ModeLabels(_View):
+    """Mode labels as two index arrays: (lo,) where lo == hi, else (lo, hi)."""
+
+    def __init__(self, lo, hi):
+        self._lo, self._hi, self._len = lo, hi, len(lo)
+
+    def _item(self, j):
+        lo, hi = int(self._lo[j]), int(self._hi[j])
+        return (lo,) if lo == hi else (lo, hi)
+
+
 @dataclass(frozen=True)
 class RegionUnion:
-    """A method tag with its primitives and the generating mode indices."""
+    """A method tag with its primitives and the generating mode indices.
+
+    The primitives are stored by kind as arrays (disks as centers and radii,
+    ovals as foci with r and q, double ovals as a per-mode focus table with
+    pair indices and bounds).  ``primitives`` and ``mode_labels`` are
+    read-only sequences whose items are built when accessed; any sequence
+    of ``Disk``, ``QuasiOval`` and ``DoubleOval`` values may be given.
+    """
 
     method: Method
-    primitives: tuple[RegionPrimitive, ...]
-    mode_labels: tuple[tuple[int, ...], ...]
+    primitives: Sequence[RegionPrimitive]
+    mode_labels: Sequence[tuple[int, ...]]
 
     def __post_init__(self):
-        if len(self.primitives) == 0:
+        prims = self.primitives
+        if not isinstance(prims, _Primitives):
+            prims = _Primitives.pack(prims)
+        labels = self.mode_labels
+        if not isinstance(labels, _ModeLabels):
+            labels = tuple(labels)
+        if len(prims) == 0:
             raise InputError("a region union must hold at least one primitive")
-        if len(self.primitives) != len(self.mode_labels):
+        if len(prims) != len(labels):
             raise InputError("one mode label tuple per primitive required")
+        object.__setattr__(self, "primitives", prims)
+        object.__setattr__(self, "mode_labels", labels)
 
     @property
     def rigorous(self) -> bool:
         return self.method in RIGOROUS_METHODS
 
     def bounding_box(self) -> Box:
-        box = self.primitives[0].bounding_box()
-        for p in self.primitives[1:]:
+        prims = iter(self.primitives)
+        box = next(prims).bounding_box()
+        for p in prims:
             box = box.merge(p.bounding_box())
         return box
 
-    def best_margin(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Largest primitive margin at each point and the index of the first
-        primitive attaining it; a running maximum, so memory is O(len z)."""
-        best = self.primitives[0].margin(z)
-        index = np.zeros(np.shape(best), dtype=int)
-        for k, p in enumerate(self.primitives[1:], start=1):
-            m = p.margin(z)
-            better = m > best
+        primitive attaining it.  Each kind is evaluated in one vectorized
+        pass over chunks of points, so memory stays O(len z)."""
+        z = np.asarray(z, dtype=complex)
+        best = index = None
+        for kind in self.primitives.kinds:
+            m, k = kind.best_margin(z.ravel())
+            if best is None:
+                best, index = m, k
+                continue
+            better = (m > best) | ((m == best) & (k < index))
             best = np.where(better, m, best)
             index = np.where(better, k, index)
-        return best, index
+        return best.reshape(z.shape), index.reshape(z.shape)
 
     def membership_many(self, z: np.ndarray) -> np.ndarray:
         return self.best_margin(z)[0] >= 0.0
 
 
+def _packed(method: Method, kind: _Kind, lo, hi) -> RegionUnion:
+    return RegionUnion(method, _Primitives([kind]), _ModeLabels(lo, hi))
+
+
 def _disk_pairs(method: Method, plus, minus, r_plus, r_minus) -> RegionUnion:
     """One disk about each focus of every mode, the + disk first."""
-    prims = tuple(
-        Disk(complex(c), float(r))
-        for j in range(len(plus))
-        for c, r in ((plus[j], r_plus[j]), (minus[j], r_minus[j]))
+    n = len(plus)
+    disks = _Disks(
+        np.arange(2 * n),
+        np.stack((plus, minus), axis=1).ravel(),
+        np.stack((r_plus, r_minus), axis=1).ravel(),
     )
-    return RegionUnion(method, prims, tuple((j,) for j in range(len(plus)) for _ in range(2)))
+    modes = np.repeat(np.arange(n), 2)
+    return _packed(method, disks, modes, modes)
 
 
 def build_regions(
@@ -235,7 +458,8 @@ def build_regions(
     the split.  Methods based on per-mode condition numbers are refused when
     a critically damped mode is present.  Splits with unequal in-block
     frequencies are only rigorous for MODIFIED_OVAL, which carries the
-    frequency defect in its additive extension.
+    frequency defect in its additive extension.  The union's arrays are
+    filled directly; no per-primitive value is built.
     """
     method = Method(method)
     n = form.order
@@ -246,7 +470,7 @@ def build_regions(
     if method.name.startswith("UNDAMPED"):
         plus, minus = 1j * omega, -1j * omega
         if method in (Method.UNDAMPED_DISK_NORM, Method.UNDAMPED_OVAL_NORM):
-            ext = np.full(n, spectral_norm(D))
+            ext = np.full(n, form.damping_norm)
         elif method in (Method.UNDAMPED_DISK_COLSUM, Method.UNDAMPED_OVAL_COLSUM):
             ext = np.sum(np.abs(D), axis=0)
         elif method is Method.UNDAMPED_OVAL_REL:
@@ -260,22 +484,15 @@ def build_regions(
         if len(foci) != n or split.order != n:
             raise InputError("form, split and foci orders disagree")
         plus, minus = foci.lambda_plus, foci.lambda_minus
-        dp_norm = split.dprime_norm
         rsum = split.dprime_rowsums
         if method is Method.BRAUER:
             if not split.is_diagonal_mode:
                 raise InputError("double ovals require the diagonal split")
             # a single mode has no pair; its bound rsum[0]^2 is 0, leaving the
             # double oval as the bare foci
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] or [(0, 0)]
-            prims = tuple(
-                DoubleOval(
-                    (complex(plus[a]), complex(minus[a]), complex(plus[b]), complex(minus[b])),
-                    float(rsum[a] * rsum[b]),
-                )
-                for a, b in pairs
-            )
-            return RegionUnion(method, prims, tuple(tuple(sorted({a, b})) for a, b in pairs))
+            a, b = np.triu_indices(n, 1) if n > 1 else (np.zeros(1, dtype=int),) * 2
+            doubles = _DoubleOvals(np.arange(len(a)), plus, minus, a, b, rsum[a] * rsum[b])
+            return _packed(method, doubles, a, b)
         if method.name.startswith("MODAL_DISK"):
             if foci.any_critical:
                 raise CriticalModePresent(
@@ -286,27 +503,26 @@ def build_regions(
                 # differs from np.abs in the last bit and fixes the radii
                 gaps = np.abs(plus - minus)
                 r_plus, r_minus = (
-                    [dp_norm * abs(f) / g for f, g in zip(fs, gaps)] for fs in (plus, minus)
+                    [split.dprime_norm * abs(f) / g for f, g in zip(fs, gaps)]
+                    for fs in (plus, minus)
                 )
                 return _disk_pairs(method, plus, minus, r_plus, r_minus)
             smax, smin = mode_singular_values(split, foci)
             if method is Method.MODAL_DISK_NORM:
-                ext = np.full(n, float(np.max(smax) / np.min(smin)) * dp_norm)
+                ext = np.full(n, float(np.max(smax) / np.min(smin)) * split.dprime_norm)
             else:  # MODAL_DISK_ROWSUM
                 ext = smax / smin * rsum
         elif method is Method.MODAL_OVAL_ROWSUM:
             ext = rsum
         else:  # MODAL_OVAL_NORM, MODIFIED_OVAL
-            ext = np.full(n, dp_norm)
+            ext = np.full(n, split.dprime_norm)
             if method is Method.MODIFIED_OVAL:
                 q = float(np.max(np.abs(form.omega**2 - split.omega0**2)))
 
     if "_DISK_" in method.name:
         return _disk_pairs(method, plus, minus, ext, ext)
-    prims = tuple(
-        QuasiOval(complex(plus[j]), complex(minus[j]), float(ext[j]), q) for j in range(n)
-    )
-    return RegionUnion(method, prims, tuple((j,) for j in range(n)))
+    modes = np.arange(n)
+    return _packed(method, _Ovals(modes, plus, minus, ext, np.full(n, q)), modes, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -509,25 +725,22 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     )
     order = np.argsort(np.atleast_1d(firsts))
     remap = np.zeros(count + 1, dtype=int)
-    for new, old in enumerate(order):
-        remap[old + 1] = new + 1
+    remap[order + 1] = np.arange(1, count + 1)
     labels = remap[raw_labels]
+    cells = np.bincount(labels.ravel(), minlength=count + 1)
 
-    comp_prims: list[list[int]] = [[] for _ in range(count)]
-    for k, m in enumerate(masks):
-        for lab in np.unique(labels[m]):
-            if lab > 0:
-                comp_prims[lab - 1].append(k)
+    # cells of each primitive per component label
+    hits = np.stack([np.bincount(labels[m], minlength=count + 1) for m in masks])
     components = []
     for i in range(count):
-        prim_idx = tuple(sorted(comp_prims[i]))
+        prim_idx = tuple(np.flatnonzero(hits[:, i + 1]).tolist())
         modes = tuple(sorted({m for k in prim_idx for m in u.mode_labels[k]}))
         components.append(
             Component(
                 index=i,
                 modes=modes,
                 primitive_indices=prim_idx,
-                cell_count=int(np.sum(labels == i + 1)),
+                cell_count=int(cells[i + 1]),
             )
         )
     labels.setflags(write=False)

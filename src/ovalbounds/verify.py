@@ -33,20 +33,15 @@ def linearize(form: ModalForm, layout: str = "block") -> Linearization:
     [[0, w_j], [-w_j, -d_jj]] with couplings only through damping entries.
     The two layouts are permutation similar.
     """
+    if layout not in ("block", "shuffled"):
+        raise ValueError(f"unknown layout {layout!r}")
     n = form.order
     W = np.diag(form.omega)
-    D = form.D.array
-    if layout == "block":
-        A = np.block([[np.zeros((n, n)), W], [-W, -D]])
-    elif layout == "shuffled":
-        A = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            A[2 * i, 2 * i + 1] = form.omega[i]
-            A[2 * i + 1, 2 * i] = -form.omega[i]
-            for j in range(n):
-                A[2 * i + 1, 2 * j + 1] = -D[i, j]
-    else:
-        raise ValueError(f"unknown layout {layout!r}")
+    A = np.block([[np.zeros((n, n)), W], [-W, -form.D.array]])
+    if layout == "shuffled":
+        # coordinate 2i is block coordinate i, 2i + 1 is n + i
+        p = np.arange(2 * n).reshape(2, n).T.ravel()
+        A = A[p][:, p]
     return Linearization(A, layout)
 
 

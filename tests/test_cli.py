@@ -220,6 +220,27 @@ class TestVerifyCommand:
         assert report["MODAL_OVAL_NORM.all_contained"] is False
 
 
+    def test_each_norm_computed_once(self, tmp_path, capsys, monkeypatch):
+        import sys
+
+        import ovalbounds.matdense as matdense
+
+        out = tmp_path / "sys.json"
+        cli.main(["gen", "--output", str(out), "--n", "5", "--seed", "4"])
+        real, calls = matdense.spectral_norm, []
+
+        def counted(S):
+            calls.append(S)
+            return real(S)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("ovalbounds") and getattr(mod, "spectral_norm", None) is real:
+                monkeypatch.setattr(mod, "spectral_norm", counted)
+        assert cli.main(["verify", "--input", str(out), "--json"]) == 0
+        # C when loading, then D, D' and the frequency-scaled D once each
+        assert len(calls) == 4
+
+
 class TestRejectedFlags:
     @pytest.mark.parametrize(
         "command,flags",

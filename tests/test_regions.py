@@ -1,9 +1,14 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from ovalbounds import regions
 from ovalbounds.errors import CriticalModePresent, InputError, ResolutionTooCoarse
 from ovalbounds.matdense import SymMatrix, spectral_norm
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, quadratic_roots, to_modal
+from ovalbounds.verify import true_spectrum
 from ovalbounds.regions import (
     RIGOROUS_METHODS,
     Disk,
@@ -128,6 +133,146 @@ class TestMargin:
         )
         _, index = u.best_margin(grid_points(100, 7))
         assert np.all(index == 1)
+
+
+def assert_stacked_max(u, z):
+    """best_margin is bitwise the column maximum of the stacked per-primitive
+    margins, at the first row attaining it."""
+    best, index = u.best_margin(z)
+    z = np.asarray(z, dtype=complex)
+    stacked = np.stack([p.margin(z) for p in u.primitives]).reshape(len(u.primitives), -1)
+    expect = np.argmax(stacked, axis=0)
+    assert best.shape == index.shape == z.shape
+    assert np.array_equal(index.ravel(), expect)
+    chosen = stacked[expect, np.arange(stacked.shape[1])]
+    assert best.ravel().tobytes() == chosen.tobytes()
+
+
+def pipeline_of(form):
+    split = modal_split(form)
+    return form, split, mode_foci(form, split)
+
+
+def system_union(n, method, seed=0):
+    form = to_modal(random_system(n, seed))
+    return build_regions(*pipeline_of(form), method), form
+
+
+def audit_points(u, form, count=400, seed=0):
+    """The spectrum plus uniform points over the union's box."""
+    rng = np.random.default_rng(seed)
+    box = u.bounding_box().padded(0.1)
+    z = rng.uniform(box.xmin, box.xmax, count) + 1j * rng.uniform(box.ymin, box.ymax, count)
+    return np.concatenate([true_spectrum(form).values, z])
+
+
+class TestPackedUnion:
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_brauer_equals_stacked_margins(self, n):
+        u, form = system_union(n, Method.BRAUER, seed=n)
+        assert len(u.primitives) == max(n * (n - 1) // 2, 1)
+        if n == 1:
+            assert u.mode_labels == ((0,),)
+        assert_stacked_max(u, audit_points(u, form, seed=n))
+
+    @pytest.mark.parametrize(
+        "method", [m for m in Method if m is not Method.BRAUER], ids=lambda m: m.value
+    )
+    def test_oval_and_disk_methods_equal_stacked_margins(self, method):
+        u, form = system_union(6, method, seed=3)
+        assert_stacked_max(u, audit_points(u, form, seed=4))
+
+    def test_mixed_kinds(self):
+        prims = tuple(KINDS) + tuple(reversed(KINDS))
+        u = RegionUnion(Method.MODAL_OVAL_NORM, prims, tuple((j,) for j in range(len(prims))))
+        assert_stacked_max(u, grid_points(3000, 8))
+        assert_stacked_max(u, grid_points(60, 9).reshape(3, 4, 5))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_ties_across_kinds_go_to_the_lowest_index(self, order):
+        # all three margins are exactly 1.0 at z = 1j
+        tied = [Disk(1j, 1.0), QuasiOval(1j, -1j, 0.0, 1.0), DoubleOval((1j, -1j, 2j, 3j), 1.0)]
+        prims = (Disk(5.0 + 0j, 0.1),) + tuple(tied[k] for k in order)
+        u = RegionUnion(Method.MODAL_OVAL_NORM, prims, tuple((j,) for j in range(4)))
+        assert all(p.margin(1j) == 1.0 for p in tied)
+        best, index = u.best_margin(np.array([1j, 5.0 + 0j]))
+        assert best[0] == 1.0 and index[0] == 1
+        assert index[1] == 0
+
+    def test_point_counts_around_the_chunk(self):
+        u, form = system_union(12, Method.BRAUER, seed=5)
+        chunk = regions.CHUNK_ELEMENTS // len(u.primitives)
+        z = audit_points(u, form, count=chunk + 1, seed=6)[: chunk + 1]
+        for count in (0, 1, chunk - 1, chunk, chunk + 1):
+            assert_stacked_max(u, z[:count])
+        mixed = RegionUnion(
+            Method.MODAL_OVAL_NORM, tuple(u.primitives) + tuple(KINDS), tuple(u.mode_labels) + ((0,),) * 4
+        )
+        for count in (0, 1, chunk - 1, chunk, chunk + 1):
+            assert_stacked_max(mixed, z[:count])
+
+    @pytest.mark.parametrize("method", [Method.BRAUER, Method.MODAL_OVAL_ROWSUM, Method.MODAL_DISK_ROWSUM])
+    def test_replace_with_primitive_values_keeps_margins(self, method):
+        u, form = system_union(7, method, seed=2)
+        again = dataclasses.replace(u, primitives=tuple(u.primitives))
+        assert again == u
+        assert again.mode_labels == u.mode_labels
+        z = audit_points(u, form, seed=3)
+        for a, b in zip(u.best_margin(z), again.best_margin(z)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_views_are_read_only_sequences(self):
+        u, _ = system_union(4, Method.BRAUER)
+        assert u.mode_labels == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert u.primitives[-1] == u.primitives[5] == tuple(u.primitives)[5]
+        assert u.primitives[1:3] == tuple(u.primitives)[1:3]
+        with pytest.raises(IndexError):
+            u.primitives[6]
+        with pytest.raises(TypeError):
+            u.primitives[0] = u.primitives[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.primitives = ()
+
+    def test_build_and_audit_make_no_primitive_values(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("primitive value built")
+
+        form = to_modal(random_system(9, 0))
+        z = true_spectrum(form).values
+        expect = {m: build_regions(*pipeline_of(form), m).best_margin(z) for m in Method}
+        for cls in ("Disk", "QuasiOval", "DoubleOval"):
+            monkeypatch.setattr(regions, cls, refuse)
+        for method in Method:
+            u = build_regions(*pipeline_of(form), method)
+            assert len(u.primitives) == len(u.mode_labels) > 0
+            for a, b in zip(u.best_margin(z), expect[method]):
+                assert a.tobytes() == b.tobytes()
+
+    def test_unknown_primitive_refused(self):
+        with pytest.raises(InputError):
+            RegionUnion(Method.MODAL_OVAL_NORM, (object(),), ((0,),))
+
+    def test_random_primitive_tuples(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coord = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+        point = st.builds(complex, coord, coord)
+        size = st.floats(0.0, 4.0, allow_nan=False, allow_subnormal=False)
+        primitive = st.one_of(
+            st.builds(Disk, point, size),
+            st.builds(QuasiOval, point, point, size, size),
+            st.builds(DoubleOval, st.tuples(point, point, point, point), size),
+        )
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(primitive, min_size=1, max_size=12), st.lists(point, max_size=30))
+        def check(prims, zs):
+            u = RegionUnion(Method.MODAL_OVAL_NORM, tuple(prims), tuple((0,) for _ in prims))
+            assert tuple(u.primitives) == tuple(prims)
+            # at their own foci, repeated and degenerate primitives tie exactly
+            assert_stacked_max(u, np.array(zs + [p.foci[0] for p in prims], dtype=complex))
+
+        check()
 
 
 class TestBoundingBox:

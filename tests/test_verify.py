@@ -72,6 +72,22 @@ class TestLinearize:
             form = to_modal(sys_)
             assert layout_eigenvalue_gap(form) <= 1e-9 * (1.0 + np.max(form.omega) ** 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_shuffled_equals_explicit_interleaving(self, n):
+        form = to_modal(random_system(n, n))
+        D = form.D.array
+        A = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            A[2 * i, 2 * i + 1] = form.omega[i]
+            A[2 * i + 1, 2 * i] = -form.omega[i]
+            for j in range(n):
+                A[2 * i + 1, 2 * j + 1] = -D[i, j]
+        assert np.array_equal(linearize(form, "shuffled").A, A)
+
+    def test_unknown_layout(self):
+        with pytest.raises(ValueError):
+            linearize(form_from([1.0], np.zeros((1, 1))), "diagonal")
+
     def test_permutation_similarity(self):
         form = form_from([1.0, 2.0], np.array([[0.5, 0.1], [0.1, 0.7]]))
         A = linearize(form, "block").A
