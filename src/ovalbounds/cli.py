@@ -9,6 +9,7 @@ output uses 17 significant digits so files round-trip bit-exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -241,10 +242,9 @@ def _build_with_override(form, split, foci, method, extension):
 def _cmd_analyze(args) -> int:
     sys_ = load_system(args.input)
     form, split, foci = _modal_pipeline(sys_)
-    tol = args.rtol if args.rtol is not None else 1e-8
     report: dict = {"n": sys_.order}
     report["omega"] = [float(w) for w in form.omega]
-    report["modally_damped"] = bool(is_modally_damped(sys_, tol))
+    report["modally_damped"] = bool(is_modally_damped(sys_, args.rtol))
     report["damping_norm"] = form.damping_norm
     report["dprime_norm_diagonal"] = split.dprime_norm
     maximal = modal_split(form, "maximal")
@@ -302,8 +302,7 @@ def _cmd_regions(args) -> int:
 def _cmd_overdamped(args) -> int:
     sys_ = load_system(args.input)
     form, split, foci = _modal_pipeline(sys_)
-    tol = args.rtol if args.rtol is not None else 1e-10
-    interval = od.exact_definiteness_interval(sys_, tol)
+    interval = od.exact_definiteness_interval(sys_, args.rtol)
     report: dict = {"n": sys_.order}
     if interval.empty:
         report["exact_interval"] = "empty"
@@ -381,25 +380,57 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+class _Methods(argparse.Action):
+    """Repeatable ``--method``: the first use replaces the subcommand's
+    default tuple, later uses append to the new list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        methods = getattr(namespace, self.dest)
+        methods = [] if methods is self.default else methods
+        setattr(namespace, self.dest, [*methods, values])
+
+
+def _order(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
+def _rtol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a relative tolerance in (0, 1), got {text!r}")
+    return tol
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was, so every ``main`` call sees the same defaults."""
     parser = argparse.ArgumentParser(
         prog="ovalbounds",
         description="Eigenvalue inclusion regions for damped second-order systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, methods_default=None):
+    def common(p, methods):
         p.add_argument("--input", required=True, help="system JSON file")
         p.add_argument(
             "--method",
-            action="append",
+            action=_Methods,
             dest="methods",
             choices=[m.value for m in Method],
-            default=None,
+            default=tuple(methods),
             help="region method (repeatable)",
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(methods_default=methods_default)
 
     def extension(p):
         p.add_argument(
@@ -412,7 +443,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="modal form, splits, proportional fit")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--rtol", type=float, default=None)
+    p.add_argument("--rtol", type=_rtol, default=1e-8)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("regions", help="build region unions and report them")
@@ -423,7 +454,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overdamped", help="certificates and interval bounds")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--rtol", type=float, default=None)
+    p.add_argument("--rtol", type=_rtol, default=1e-10)
     p.add_argument(
         "--epsilon",
         type=float,
@@ -445,7 +476,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a random test system")
     p.add_argument("--output", required=True)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_order, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", type=float, default=1.0, help="damping scale")
     p.add_argument(
@@ -457,8 +488,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "methods", None) is None and hasattr(args, "methods_default"):
-        args.methods = args.methods_default
     if getattr(args, "resolution", None) is not None and args.resolution < 32:
         print("error: resolution must be at least 32", file=sys.stderr)
         return 2

@@ -4,8 +4,12 @@ bounds, Duffin functionals and viscosity-monotonicity envelopes.
 A system is overdamped when some mu < 0 makes mu^2 M + mu C + K negative
 definite; the set of such mu is an open interval separating the 2n real
 eigenvalues into the lower and upper group.  The certificates here are
-sufficient conditions computed from the diagonal modal split; the exact test
-minimizes the largest eigenvalue of the pencil, which is convex in mu.
+sufficient conditions computed from the diagonal modal split.  The exact
+references are searches certified by derivatives: the interval comes from
+Newton steps on the largest eigenvalue of the pencil, which is convex in mu,
+from both outer ends, and the minimal damping ratio from tangent cuts on the
+logarithm of a concave smallest pencil eigenvalue.  Each probe is one
+eigensolve whose eigenvector gives the (sub)gradient.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
-from .errors import CertificateMissing, EpsilonTooLarge
+from .errors import CertificateMissing, EpsilonTooLarge, NoConvergence
 from .matdense import DampedSystem, _readonly, spectral_norm
 from .modal import ModalForm, ModalSplit, quadratic_roots
 
@@ -90,77 +94,67 @@ class EtaEnvelope:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def _pencil_max(M: np.ndarray, C: np.ndarray, K: np.ndarray, mu: float) -> float:
-    return float(np.linalg.eigvalsh(mu * mu * M + mu * C + K)[-1])
+#: Cap on the Newton steps per side of the definiteness interval search.  A
+#: simple root takes a handful; a double root (a critically overdamped
+#: system) converges linearly, halving the distance per step.
+_NEWTON_STEPS = 200
+
+
+def _pencil_top(M: np.ndarray, C: np.ndarray, K: np.ndarray, mu: float) -> tuple[float, float]:
+    """lambda_max(Q(mu)) and x'(2 mu M + C)x for its unit eigenvector x, a
+    subgradient of the convex function mu -> lambda_max(Q(mu))."""
+    n = len(M)
+    w, v, _, _, info = scipy.linalg.lapack.dsyevr(mu * mu * M + mu * C + K, range="I", il=n, iu=n)
+    if info:
+        raise NoConvergence(f"dsyevr failed with info {info} at mu = {mu}")
+    x = v[:, 0]
+    return float(w[0]), float(x @ (2.0 * mu * (M @ x) + C @ x))
 
 
 def pencil_max_eigenvalue(sys: DampedSystem, mu: float) -> float:
     """Largest eigenvalue of Q(mu) = mu^2 M + mu C + K."""
-    return _pencil_max(sys.M.array, sys.C.array, sys.K.array, mu)
-
-
-def _golden_max(f, a: float, b: float):
-    """Golden-section search for the maximum of a unimodal f on [a, b].
-
-    Endless generator: after each step yields (a, b, x, f(x)), the current
-    bracket and its best probe; the caller stops it.  Each step costs one
-    evaluation of f and shrinks the bracket by (sqrt 5 - 1) / 2.
-    """
-    g = 0.5 * (np.sqrt(5.0) - 1.0)
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while True:
-        if fc >= fd:
-            yield a, b, c, fc
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            yield a, b, d, fd
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-
-
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f (sign change assumed between lo and hi) by bisection."""
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + abs(mid)):
-            break
-        fm = f(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _pencil_top(sys.M.array, sys.C.array, sys.K.array, mu)[0]
 
 
 def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> DefinitenessInterval:
-    """Compute the definiteness interval by convex minimization.
+    """Compute the definiteness interval by Newton steps from both outer ends.
 
     f(mu) = lambda_max(Q(mu)) is a pointwise maximum of convex quadratics
-    with positive leading coefficient, hence convex.  A golden-section search
-    on [-2||C||/lambda_min(M) - 1, 0] (which brackets every root of every
-    Rayleigh quotient quadratic) stops at its first probe with f < 0, and the
-    two sign changes on either side of that probe are then bisected.  The
-    interval is declared empty only when the search has converged on the
-    minimum of f without finding a negative value.
+    with positive leading coefficient, hence convex, and the top eigenvector
+    x gives the subgradient f' = x'(2 mu M + C)x.  f > 0 at 0 and at
+    lo = -2||C||/lambda_min(M) - 1, beyond every root of every Rayleigh
+    quotient quadratic.  Every tangent lies below f, so a Newton sequence
+    started at either end moves inward monotonically and never passes a
+    root; a side stops when its step is at most tol (1 + |mu|), and the
+    final iterates, outer bounds of the interval, are returned.  The interval
+    is empty exactly when an iterate with f > 0 has a subgradient pointing
+    outward (then f > 0 on both sides of it) or when the two sequences cross
+    (then f > 0 everywhere); both are certificates by convexity.
     """
     M, C, K = sys.M.array, sys.C.array, sys.K.array
     min_m = float(np.linalg.eigvalsh(M)[0])
-    lo = -2.0 * spectral_norm(C) / min_m - 1.0
-    hi = 0.0
-    f = lambda mu: _pencil_max(M, C, K, mu)
-    for a, b, mu_star, minus_f in _golden_max(lambda mu: -f(mu), lo, hi):
-        if minus_f > 0.0:
-            break
-        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
+    ends = [-2.0 * spectral_norm(C) / min_m - 1.0, 0.0]
+    outward = (1.0, -1.0)  # per side, the sign of f' that rules the interval out
+    active = [True, True]
+    for _ in range(_NEWTON_STEPS):
+        for side in (0, 1):
+            if not active[side]:
+                continue
+            mu = ends[side]
+            f, g = _pencil_top(M, C, K, mu)
+            if f <= 0.0:
+                active[side] = False
+                continue
+            if g * outward[side] >= 0.0:
+                return DefinitenessInterval.none()
+            step = -f / g
+            ends[side] = mu + step
+            active[side] = abs(step) > tol * (1.0 + abs(ends[side]))
+        if ends[0] >= ends[1]:
             return DefinitenessInterval.none()
-    left = _bisect(f, lo, mu_star, tol)
-    right = _bisect(f, mu_star, hi, tol)
-    return DefinitenessInterval(left, right)
+        if not any(active):
+            return DefinitenessInterval(ends[0], ends[1])
+    raise NoConvergence(f"definiteness interval search did not settle in {_NEWTON_STEPS} steps")
 
 
 def _certificate_inputs(form: ModalForm, split: ModalSplit, variant: str):
@@ -254,37 +248,61 @@ def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:
     return t_plus.real, t_minus.real
 
 
+def _pencil_bottom(M: np.ndarray, C: np.ndarray, K: np.ndarray, s: float) -> tuple[float, float]:
+    """lambda = lambda_min(C; B) with B = tM + K/t, t = e^s, and the slope
+    -x'(tM - K/t)x of log lambda in s for its eigenvector x with x'Bx = 1."""
+    t = np.exp(s)
+    w, z, _, _, info = scipy.linalg.lapack.dsygvx(C, t * M + K / t, range="I", il=1, iu=1)
+    if info:
+        raise NoConvergence(f"dsygvx failed with info {info} at t = {t}")
+    x = z[:, 0]
+    return float(w[0]), float(x @ (K @ x) / t - t * (x @ (M @ x)))
+
+
 def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
     """Minimal damping ratio d = min_x x'Cx / (2 sqrt(x'Mx x'Kx)).
 
     Since t x'Mx + x'Kx / t >= 2 sqrt(x'Mx x'Kx) with equality at
-    t = sqrt(x'Kx / x'Mx), d is the maximum over t > 0 of the smallest
-    eigenvalue of the pencil (C, tM + K/t).  Its logarithm is concave and
-    1-Lipschitz in s = log t, and every best t lies in
-    [lambda_min(K) / lambda_max(M), lambda_max(K) / lambda_min(M)]^(1/2), so
-    one golden-section search over s finds it; ``tol`` is the final width of
-    the s bracket and hence the relative accuracy of d.  The returned d is
-    an attained lower bound, clamped at 0, and exactly 0 when C is singular
-    to working precision.  Returns (d, overdamped) where the flag is d > 1;
-    values at or below 1 mean the system itself cannot be certified
-    overdamped.
+    t = sqrt(x'Kx / x'Mx), d is the maximum over t > 0 of lambda(t), the
+    smallest eigenvalue of the pencil (C, tM + K/t), and every best t lies
+    in [lambda_min(K) / lambda_max(M), lambda_max(K) / lambda_min(M)]^(1/2).
+    h(s) = log lambda(e^s) is concave in s = log t, and the eigenvector of
+    each probe gives its slope, so the tangents at the two ends of the
+    bracket bound h from above.  The next probe is where they intersect
+    (the midpoint whenever the bracket has not halved over the last two
+    probes, which keeps a kink at a multiple lambda_min safe), and the
+    search stops once that intersection lies at most ``tol`` above log of
+    the best probe, a certified relative accuracy ``tol`` on d (or when the
+    bracket is ``tol`` wide, as h is 1-Lipschitz).  The returned d is the
+    best probe, an attained lower bound, clamped at 0, and exactly 0 when C
+    is singular to working precision.  Returns (d, overdamped) where the
+    flag is d > 1; values at or below 1 mean the system itself cannot be
+    certified overdamped.
     """
     M, C, K = sys.M.array, sys.C.array, sys.K.array
     wm = np.linalg.eigvalsh(M)
     wk = np.linalg.eigvalsh(K)
-
-    def f(s: float) -> float:
-        t = np.exp(s)
-        w = scipy.linalg.eigh(C, t * M + K / t, eigvals_only=True, subset_by_index=[0, 0])
-        return float(w[0])
-
-    lo, hi = 0.5 * np.log(wk[0] / wm[-1]), 0.5 * np.log(wk[-1] / wm[0])
-    for a, b, _, best in _golden_max(f, lo, hi):
-        if b - a <= tol:
-            break
     # For a singular C the computed best value is rounding noise, within about
     # n eps lambda_max(C; B) of 0, and B = tM + K/t >= 2 sqrt(min M min K) I.
     noise = 8.0 * len(wm) * np.finfo(float).eps * spectral_norm(C) / (2.0 * np.sqrt(wm[0] * wk[0]))
+    a, b = 0.5 * np.log(wk[0] / wm[-1]), 0.5 * np.log(wk[-1] / wm[0])
+    la, ga = _pencil_bottom(M, C, K, a)
+    lb, gb = _pencil_bottom(M, C, K, b)
+    widths = [np.inf, np.inf, b - a]  # after each probe
+    while min(la, lb) > 0.0 and ga > 0.0 > gb and b - a > tol:
+        ha, hb = np.log(la), np.log(lb)
+        s = (hb - ha + ga * a - gb * b) / (ga - gb)
+        if ha + ga * (s - a) - max(ha, hb) <= tol:
+            break
+        if not a < s < b or widths[-1] > 0.5 * widths[-3]:
+            s = 0.5 * (a + b)
+        lam, g = _pencil_bottom(M, C, K, s)
+        if g >= 0.0:
+            a, la, ga = s, lam, g
+        if g <= 0.0:
+            b, lb, gb = s, lam, g
+        widths.append(b - a)
+    best = max(la, lb)
     if best <= noise:
         return 0.0, False
     return best, bool(best > 1.0)

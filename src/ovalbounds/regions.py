@@ -102,9 +102,7 @@ class QuasiOval(_Primitive):
 
     def modulus_bound(self) -> float:
         """Safe bound on |lam| over the member set."""
-        f = abs(self.focus_plus) + abs(self.focus_minus) + self.r
-        disc = f * f - 4.0 * max(0.0, abs(self.focus_plus) * abs(self.focus_minus) - self.q)
-        return 0.5 * (f + np.sqrt(max(disc, 0.0)))
+        return float(_oval_bound(abs(self.focus_plus), abs(self.focus_minus), self.r, self.q))
 
     def bounding_box(self) -> Box:
         R = self.modulus_bound()
@@ -132,11 +130,7 @@ class DoubleOval(_Primitive):
         return self.bound * np.abs(z) ** 2 - prod
 
     def modulus_bound(self) -> float:
-        m = max(abs(f) for f in self.foci)
-        s = np.sqrt(max(self.bound, 0.0))
-        half = 2.0 * m + s
-        disc = half * half - 4.0 * m * m
-        return 0.5 * (half + np.sqrt(max(disc, 0.0)))
+        return float(_double_oval_bound(max(abs(f) for f in self.foci), self.bound))
 
     def bounding_box(self) -> Box:
         R = self.modulus_bound()
@@ -148,6 +142,28 @@ class DoubleOval(_Primitive):
 
 
 RegionPrimitive = Disk | QuasiOval | DoubleOval
+
+
+def _oval_bound(abs_plus, abs_minus, r, q):
+    """Bound on |lam| over a quasi oval with focus moduli abs_plus and
+    abs_minus, elementwise."""
+    f = abs_plus + abs_minus + r
+    disc = f * f - 4.0 * np.maximum(0.0, abs_plus * abs_minus - q)
+    return 0.5 * (f + np.sqrt(np.maximum(disc, 0.0)))
+
+
+def _double_oval_bound(m, bound):
+    """Bound on |lam| over a double oval whose largest focus modulus is m,
+    elementwise."""
+    half = 2.0 * m + np.sqrt(np.maximum(bound, 0.0))
+    disc = half * half - 4.0 * m * m
+    return 0.5 * (half + np.sqrt(np.maximum(disc, 0.0)))
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, bit for bit as Python's scalar abs (np.abs of a
+    complex array may differ from it in the last bit)."""
+    return np.hypot(z.real, z.imag)
 
 
 class Method(str, enum.Enum):
@@ -187,8 +203,9 @@ class _Kind:
     ``pos`` holds each primitive's position in the union, ascending.  Each
     kind gives ``margins(z, absz)``, the (primitives x points) margins at a
     chunk of points with the same operations in the same order as its
-    dataclass's ``margin``, and ``item(i)``, its i-th primitive as that
-    dataclass.
+    dataclass's ``margin``, ``boxes()``, the (xmin, xmax, ymin, ymax) arrays
+    of the primitives' bounding boxes, equal to theirs bit for bit, and
+    ``item(i)``, its i-th primitive as that dataclass.
     """
 
     def __len__(self) -> int:
@@ -231,6 +248,10 @@ class _Disks(_Kind):
     def margins(self, z, absz):
         return self.radius[:, None] - np.abs(z - self.center[:, None])
 
+    def boxes(self):
+        x, y, r = self.center.real, self.center.imag, self.radius
+        return x - r, x + r, y - r, y + r
+
 
 class _Ovals(_Kind):
     """Quasi ovals as foci f+, f- with r and q."""
@@ -262,6 +283,10 @@ class _Ovals(_Kind):
         m += self.q[:, None]
         m -= prod
         return m
+
+    def boxes(self):
+        R = _oval_bound(_moduli(self.plus), _moduli(self.minus), self.r, self.q)
+        return -R, R, -R, R
 
 
 class _DoubleOvals(_Kind):
@@ -298,6 +323,11 @@ class _DoubleOvals(_Kind):
         np.multiply(self.bound[:, None], absz**2, out=m)
         m -= prod
         return m
+
+    def boxes(self):
+        mode = np.maximum(_moduli(self.plus), _moduli(self.minus))
+        R = _double_oval_bound(np.maximum(mode[self.a], mode[self.b]), self.bound)
+        return -R, R, -R, R
 
 
 class _View(Sequence):
@@ -403,11 +433,18 @@ class RegionUnion:
         return self.method in RIGOROUS_METHODS
 
     def bounding_box(self) -> Box:
-        prims = iter(self.primitives)
-        box = next(prims).bounding_box()
-        for p in prims:
-            box = box.merge(p.bounding_box())
-        return box
+        """The merge of the primitives' boxes, from the packed arrays; among
+        equal extremes the first primitive's wins, as in ``Box.merge``."""
+        edges = np.empty((4, len(self.primitives)))
+        for kind in self.primitives.kinds:
+            edges[:, kind.pos] = kind.boxes()
+        xmin, xmax, ymin, ymax = edges
+        return Box(
+            float(xmin[np.argmin(xmin)]),
+            float(xmax[np.argmax(xmax)]),
+            float(ymin[np.argmin(ymin)]),
+            float(ymax[np.argmax(ymax)]),
+        )
 
     def best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Largest primitive margin at each point and the index of the first

@@ -269,6 +269,62 @@ class TestRejectedFlags:
         assert not (tmp_path / "x.svg").exists()
 
 
+def exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        return exc.code
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("n", ["0", "-1", "2.5", "x"])
+    def test_gen_order_below_one(self, tmp_path, capsys, n):
+        out = tmp_path / "sys.json"
+        assert exit_code(["gen", "--output", str(out), "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err and "--n" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "overdamped"])
+    @pytest.mark.parametrize("rtol", ["nan", "-0.5", "0", "1", "0.5e1", "inf", "x"])
+    def test_rtol_outside_zero_one(self, tmp_path, capsys, command, rtol):
+        path = write_scalar(tmp_path, 1, 3, 2)
+        assert exit_code([command, "--input", str(path), "--rtol", rtol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err and "--rtol" in captured.err
+
+    @pytest.mark.parametrize("command", ["analyze", "overdamped"])
+    def test_rtol_accepted(self, tmp_path, capsys, command):
+        path = write_scalar(tmp_path, 1, 3, 2)
+        assert cli.main([command, "--input", str(path), "--rtol", "1e-6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 1
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("command", ["regions", "verify"])
+    def test_methods_do_not_leak_between_calls(self, tmp_path, capsys, command):
+        path = write_scalar(tmp_path, 1, 3, 2)
+
+        def methods(extra):
+            assert cli.main([command, "--input", str(path), "--json"] + extra) == 0
+            report = json.loads(capsys.readouterr().out)
+            return {key.split(".")[0] for key in report if "." in key}
+
+        default = methods([])
+        picked = ["--method", "MODAL_DISK_NORM", "--method", "BRAUER"]
+        assert methods(picked) == {"MODAL_DISK_NORM", "BRAUER"}
+        assert methods([]) == default
+        assert methods(["--method", "MODAL_DISK_ROWSUM"]) == {"MODAL_DISK_ROWSUM"}
+        assert methods([]) == default
+        expected = {"MODAL_OVAL_NORM"} if command == "regions" else {
+            m.value for m in Method if m is not Method.MODAL_DISK_APPROX
+        }
+        assert default == expected
+
+
 class TestErrorPaths:
     def test_missing_file(self, tmp_path, capsys):
         code = cli.main(["analyze", "--input", str(tmp_path / "nope.json")])

@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from ovalbounds import cli
 from ovalbounds.errors import CertificateMissing, EpsilonTooLarge
@@ -67,6 +69,69 @@ class TestExactInterval:
             assert pencil_max_eigenvalue(sys_, mu) < 0.0
         assert pencil_max_eigenvalue(sys_, iv.lo - 1e-5) > -1e-10
         assert pencil_max_eigenvalue(sys_, iv.hi + 1e-5) > -1e-10
+
+
+def reference_eigenvalues(sys_: DampedSystem, dps: int = 40) -> list:
+    """The 2n eigenvalues of the companion matrix of (M, C, K) in mpmath
+    arithmetic at dps digits, as Python complex numbers, real parts
+    ascending."""
+    n = sys_.order
+    with mpmath.workdps(dps):
+        M, C, K = (mpmath.matrix(getattr(sys_, k).array.tolist()) for k in "MCK")
+        Minv = mpmath.inverse(M)
+        MK, MC = Minv * K, Minv * C
+        A = mpmath.zeros(2 * n)
+        for i in range(n):
+            A[i, n + i] = 1
+            for j in range(n):
+                A[n + i, j], A[n + i, n + j] = -MK[i, j], -MC[i, j]
+        vals = mpmath.eig(A, left=False, right=False)
+        return sorted((complex(v) for v in vals), key=lambda v: v.real)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Records one entry per call of any dense symmetric eigensolver."""
+    calls = []
+    for mod, name in (
+        (np.linalg, "eigvalsh"),
+        (np.linalg, "eigh"),
+        (scipy.linalg, "eigh"),
+        (scipy.linalg.lapack, "dsyevr"),
+        (scipy.linalg.lapack, "dsygvx"),
+    ):
+        real = getattr(mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestIntervalSearch:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_endpoints_match_40_digit_eigenvalues(self, k):
+        for seed in range(3):
+            sys_ = cli.random_system(k, seed, overdamped=True)
+            iv = exact_definiteness_interval(sys_)
+            vals = reference_eigenvalues(sys_)
+            assert max(abs(v.imag) for v in vals) < 1e-30
+            for got, want in ((iv.lo, vals[k - 1].real), (iv.hi, vals[k].real)):
+                assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
+
+    def test_eigensolves_at_order_50(self, eigensolves):
+        for seed in range(2):
+            over = cli.random_system(50, seed, overdamped=True)
+            under = DampedSystem(over.M, SymMatrix(0.5 * over.C.array), over.K)
+            for sys_, empty in ((over, False), (under, True)):
+                eigensolves.clear()
+                assert exact_definiteness_interval(sys_).empty == empty
+                assert len(eigensolves) <= 40
+                eigensolves.clear()
+                min_damping_d(sys_)
+                assert len(eigensolves) <= 25
 
 
 class TestSufficientCertificate:
@@ -273,6 +338,30 @@ class TestMinDamping:
             assert 1e-8 < d < 1e-4 and not flag
             assert lower * (1.0 - 1e-7) <= d <= upper * (1.0 + 1e-7)
 
+    def test_double_lambda_min_at_the_maximiser(self, eigensolves):
+        # for M = I, C = diag(6, 10), K = diag(1, 4) the two branches
+        # 6/(t + 1/t) and 10/(t + 4/t) cross at t^2 = 3.5, where the first
+        # falls and the second rises: the maximum is a kink with a double
+        # lambda_min.  A rotation hides the diagonal structure.
+        Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((2, 2)))
+        sys_ = DampedSystem(
+            SymMatrix(np.eye(2)),
+            SymMatrix(Q @ np.diag([6.0, 10.0]) @ Q.T),
+            SymMatrix(Q @ np.diag([1.0, 4.0]) @ Q.T),
+        )
+        d, flag = min_damping_d(sys_)
+        exact = 6.0 * np.sqrt(3.5) / 4.5
+        assert flag
+        assert exact * (1.0 - 1e-8) <= d <= exact * (1.0 + 1e-14)
+        assert len(eigensolves) <= 25
+
+    def test_eigensolves_at_small_damping(self, eigensolves):
+        for n in range(5, 11):
+            sys_ = cli.random_system(n, n, gamma=0.01)
+            eigensolves.clear()
+            min_damping_d(sys_)
+            assert len(eigensolves) <= 25
+
     def test_singular_damping(self):
         sys_ = DampedSystem(
             SymMatrix(np.eye(2)), SymMatrix(np.diag([4.0, 0.0])), SymMatrix(np.eye(2))
@@ -282,6 +371,24 @@ class TestMinDamping:
         assert d == pytest.approx(0.0, abs=1e-6)
 
 
+def is_hyperbolic(sys_: DampedSystem) -> bool:
+    """Oracle for a nonempty interval: all eigenvalues real and -Q negative
+    definite between the n-th and the (n+1)-th, the interval's only place."""
+    vals = np.linalg.eigvals(
+        np.block(
+            [
+                [np.zeros((sys_.order, sys_.order)), np.eye(sys_.order)],
+                [-np.linalg.solve(sys_.M.array, sys_.K.array), -np.linalg.solve(sys_.M.array, sys_.C.array)],
+            ]
+        )
+    )
+    if np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals)):
+        return False
+    vals = np.sort(vals.real)
+    mu = 0.5 * (vals[sys_.order - 1] + vals[sys_.order])
+    return bool(np.all(np.linalg.eigvalsh(mu * mu * sys_.M.array + mu * sys_.C.array + sys_.K.array) < 0.0))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_damping_ratio_and_interval_agree(n):
     """min_damping_d's flag is the interval's nonemptiness, and a nonempty
@@ -289,6 +396,10 @@ def test_damping_ratio_and_interval_agree(n):
     for seed in range(4):
         over = cli.random_system(n, seed, overdamped=True)
         under = DampedSystem(over.M, SymMatrix(0.5 * over.C.array), over.K)
+        # every system here needed C doubled at least once, so the halved
+        # one is the last that random_system found not overdamped
+        assert exact_definiteness_interval(under).empty
+        assert is_hyperbolic(over) and not is_hyperbolic(under)
         for sys_ in (over, under):
             d, flag = min_damping_d(sys_)
             iv = exact_definiteness_interval(sys_)

@@ -302,6 +302,39 @@ class TestBoundingBox:
         box = p.bounding_box()
         assert box.contains_point(0.0, 1.0) and box.contains_point(0.0, -1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_union_box_bitwise_equals_merged_primitive_boxes(self, n):
+        def scalar_box(p):
+            # the per-primitive formulas with Python scalars
+            if isinstance(p, Disk):
+                return p.bounding_box()
+            if isinstance(p, QuasiOval):
+                a, b = abs(p.focus_plus), abs(p.focus_minus)
+                f = a + b + p.r
+                disc = f * f - 4.0 * max(0.0, a * b - p.q)
+                R = 0.5 * (f + np.sqrt(max(disc, 0.0)))
+            else:
+                m = max(abs(f) for f in p.foci)
+                half = 2.0 * m + np.sqrt(max(p.bound, 0.0))
+                disc = half * half - 4.0 * m * m
+                R = 0.5 * (half + np.sqrt(max(disc, 0.0)))
+            return regions.Box(-R, R, -R, R)
+
+        def as_bytes(box):
+            return np.array([box.xmin, box.xmax, box.ymin, box.ymax]).tobytes()
+
+        form = to_modal(random_system(n, n, gamma=0.3))
+        for method in Method:
+            split = modal_split(form, "maximal" if method is Method.MODIFIED_OVAL else "diagonal")
+            u = build_regions(form, split, mode_foci(form, split), method)
+            boxes = [scalar_box(p) for p in u.primitives]
+            for p, box in zip(u.primitives, boxes):
+                assert as_bytes(p.bounding_box()) == as_bytes(box)
+            merged = boxes[0]
+            for box in boxes[1:]:
+                merged = merged.merge(box)
+            assert as_bytes(u.bounding_box()) == as_bytes(merged), method
+
 
 class TestBuildRegions:
     def test_diagonal_damping_degenerate_ovals(self):
