@@ -125,11 +125,14 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
     lo = -2||C||/lambda_min(M) - 1, beyond every root of every Rayleigh
     quotient quadratic.  Every tangent lies below f, so a Newton sequence
     started at either end moves inward monotonically and never passes a
-    root; a side stops when its step is at most tol (1 + |mu|), and the
-    final iterates, outer bounds of the interval, are returned.  The interval
-    is empty exactly when an iterate with f > 0 has a subgradient pointing
-    outward (then f > 0 on both sides of it) or when the two sequences cross
-    (then f > 0 everywhere); both are certificates by convexity.
+    root; a side stops when its step is at most tol (1 + |mu|).  Once both
+    have stopped, the midpoint between them is probed: with f < 0 there the
+    final iterates, outer bounds of the interval, are returned; otherwise
+    the midpoint joins the side its subgradient points away from, and that
+    side steps on.  The interval is empty exactly when a probe with f >= 0
+    has a subgradient pointing outward (then f >= 0 on both sides of it) or
+    when the two sequences cross (then f > 0 everywhere); both are
+    certificates by convexity, so the verdict does not depend on tol.
     """
     M, C, K = sys.M.array, sys.C.array, sys.K.array
     min_m = float(np.linalg.eigvalsh(M)[0])
@@ -153,7 +156,17 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
         if ends[0] >= ends[1]:
             return DefinitenessInterval.none()
         if not any(active):
-            return DefinitenessInterval(ends[0], ends[1])
+            # Newton iterates stay outside the interval, so a point inside is
+            # still owed.  A midpoint with f > 0 is an iterate of the side its
+            # subgradient points away from, and that side steps on from it.
+            mid = 0.5 * (ends[0] + ends[1])
+            f, g = _pencil_top(M, C, K, mid)
+            if f < 0.0:
+                return DefinitenessInterval(ends[0], ends[1])
+            if g == 0.0:
+                return DefinitenessInterval.none()
+            side = 0 if g < 0.0 else 1
+            ends[side], active[side] = mid - f / g, True
     raise NoConvergence(f"definiteness interval search did not settle in {_NEWTON_STEPS} steps")
 
 
@@ -296,6 +309,8 @@ def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
             break
         if not a < s < b or widths[-1] > 0.5 * widths[-3]:
             s = 0.5 * (a + b)
+            if not a < s < b:  # adjacent floats: the bracket cannot shrink
+                break
         lam, g = _pencil_bottom(M, C, K, s)
         if g >= 0.0:
             a, la, ga = s, lam, g

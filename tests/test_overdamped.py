@@ -53,6 +53,20 @@ class TestExactInterval:
     def test_scalar_underdamped_empty(self):
         assert exact_definiteness_interval(scalar_system(1, 1, 1)).empty
 
+    @pytest.mark.parametrize("tol", [0.6, 0.3, 1e-3, 1e-10])
+    def test_verdict_does_not_depend_on_tol(self, tol):
+        # at tol = 0.6 both Newton sides of mu^2 + mu + 1 stop after one step
+        # without having crossed; only a probe with f < 0 may make it nonempty
+        assert exact_definiteness_interval(scalar_system(1, 1, 1), tol).empty
+        iv = exact_definiteness_interval(scalar_system(1, 3, 2), tol)
+        # outer bounds, up to the rounding of f near a root
+        assert not iv.empty and iv.lo <= -2.0 + 1e-14 and -1.0 - 1e-14 <= iv.hi
+        for seed in range(4):
+            over = cli.random_system(5, seed, overdamped=True)
+            under = DampedSystem(over.M, SymMatrix(0.5 * over.C.array), over.K)
+            assert not exact_definiteness_interval(over, tol).empty
+            assert exact_definiteness_interval(under, tol).empty
+
     def test_block_intersection(self):
         sys_ = DampedSystem(
             SymMatrix(np.eye(2)), SymMatrix(np.diag([6.0, 10.0])), SymMatrix(np.diag([1.0, 4.0]))
@@ -354,6 +368,33 @@ class TestMinDamping:
         assert flag
         assert exact * (1.0 - 1e-8) <= d <= exact * (1.0 + 1e-14)
         assert len(eigensolves) <= 25
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_zero_tol_ends(self, n):
+        # the cuts go on until the bracket is two adjacent floats
+        sys_ = cli.random_system(n, 1, overdamped=True)
+        d, flag = min_damping_d(sys_, tol=0.0)
+        assert (d, flag) == pytest.approx(min_damping_d(sys_), rel=1e-8)
+
+    def test_zero_tol_ends_at_a_kink(self, monkeypatch):
+        # h = log lambda as the minimum of two lines: the tangent cuts stay a
+        # rounding error above the best probe down to adjacent floats, where
+        # the midpoint is no longer inside the bracket
+        import ovalbounds.overdamped as overdamped
+
+        s0, c, g1, g2 = 0.6095078625123933, 0.7710405334198935, 0.706113898437645, -0.9271797576704403
+        calls = []
+
+        def lines(M, C, K, s):
+            calls.append(s)
+            assert len(calls) < 500
+            h1, h2 = c + g1 * (s - s0), c + g2 * (s - s0)
+            return (float(np.exp(h1)), g1) if h1 < h2 else (float(np.exp(h2)), g2)
+
+        monkeypatch.setattr(overdamped, "_pencil_bottom", lines)
+        sys_ = DampedSystem(SymMatrix(np.eye(2)), SymMatrix(np.diag([6.0, 10.0])), SymMatrix(np.diag([1.0, 4.0])))
+        d, flag = min_damping_d(sys_, tol=0.0)
+        assert d == pytest.approx(np.exp(c), rel=1e-14) and flag
 
     def test_eigensolves_at_small_damping(self, eigensolves):
         for n in range(5, 11):
