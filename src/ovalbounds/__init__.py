@@ -75,7 +75,6 @@ from .regions import (
 )
 from .verify import (
     InclusionReport,
-    Linearization,
     RegionComparison,
     check_inclusion,
     compare_regions,

@@ -1,9 +1,11 @@
 """Command-line surface: analyses, reports, SVG figures, system generation.
 
 Exit codes: 0 success, 2 input validation failure, 3 inclusion violation in
-``verify`` for a rigorous method.  Reports are line-oriented ``key: value``
-text; ``--json`` prints the same fields as a JSON document.  All numeric
-output uses 17 significant digits so files round-trip bit-exactly.
+``verify`` for a rigorous method, 4 numerical failure (an eigensolve or the
+definiteness interval search did not converge).  Reports are line-oriented
+``key: value`` text; ``--json`` prints the same fields as a JSON document.
+All numeric output uses 17 significant digits so files round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     CriticalModePresent,
     EpsilonTooLarge,
     InputError,
+    NoConvergence,
     OvalBoundsError,
     SingularFit,
 )
@@ -117,23 +120,10 @@ def emit_svg(
     is the joint bounding box padded by 10%.  Output bytes depend only on
     the inputs.
     """
-    if not unions and (spectrum is None or len(spectrum) == 0):
-        box = None
-    else:
-        box = None
-        for u in unions:
-            box = u.bounding_box() if box is None else box.merge(u.bounding_box())
-        if spectrum is not None and len(spectrum):
-            vals = spectrum.values
-            pts = Box(
-                float(np.min(vals.real)),
-                float(np.max(vals.real)),
-                float(np.min(vals.imag)),
-                float(np.max(vals.imag)),
-            )
-            box = pts if box is None else box.merge(pts)
-    if box is None:
-        box = Box(-1.0, 1.0, -1.0, 1.0)
+    boxes = [u.bounding_box() for u in unions]
+    if spectrum is not None:
+        boxes += [Box(v.real, v.real, v.imag, v.imag) for v in spectrum.values.tolist()]
+    box = functools.reduce(Box.merge, boxes) if boxes else Box(-1.0, 1.0, -1.0, 1.0)
     box = box.padded(0.10)
     w = box.xmax - box.xmin
     h = box.ymax - box.ymin
@@ -217,31 +207,42 @@ def _emit(report: dict, as_json: bool) -> None:
         print(_render_text(report))
 
 
-def _modal_pipeline(sys_: DampedSystem):
+def _analysis(path):
+    """The system in ``path``, its modal form, diagonal split and foci."""
+    sys_ = load_system(path)
     form = to_modal(sys_)
     split = modal_split(form, "diagonal")
-    foci = mode_foci(form, split)
-    return form, split, foci
+    return sys_, form, split, mode_foci(form, split)
 
 
-def _build_with_override(form, split, foci, method, extension):
-    union = build_regions(form, split, foci, method)
-    if extension is None:
-        return union
-    if union.method is Method.BRAUER:
-        raise InputError("--extension does not apply to BRAUER double ovals")
-    prims = tuple(
-        QuasiOval(p.focus_plus, p.focus_minus, extension, p.q)
-        if isinstance(p, QuasiOval)
-        else Disk(p.center, extension)
-        for p in union.primitives
-    )
-    return RegionUnion(union.method, prims, union.mode_labels)
+def _unions(args, form, split, foci, report=None):
+    """Yield the unions of ``args.methods`` with ``--extension`` applied.  A
+    method refused for a critical mode is recorded in ``report`` as skipped,
+    in method order; without a report the refusal propagates."""
+    extension = getattr(args, "extension", None)
+    for name in args.methods:
+        try:
+            union = build_regions(form, split, foci, Method(name))
+        except CriticalModePresent as exc:
+            if report is None:
+                raise
+            report[f"{name}.skipped"] = str(exc)
+            continue
+        if extension is not None:
+            if union.method is Method.BRAUER:
+                raise InputError("--extension does not apply to BRAUER double ovals")
+            prims = tuple(
+                QuasiOval(p.focus_plus, p.focus_minus, extension, p.q)
+                if isinstance(p, QuasiOval)
+                else Disk(p.center, extension)
+                for p in union.primitives
+            )
+            union = RegionUnion(union.method, prims, union.mode_labels)
+        yield union
 
 
 def _cmd_analyze(args) -> int:
-    sys_ = load_system(args.input)
-    form, split, foci = _modal_pipeline(sys_)
+    sys_, form, split, foci = _analysis(args.input)
     report: dict = {"n": sys_.order}
     report["omega"] = [float(w) for w in form.omega]
     report["modally_damped"] = bool(is_modally_damped(sys_, args.rtol))
@@ -272,16 +273,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    sys_ = load_system(args.input)
-    form, split, foci = _modal_pipeline(sys_)
+    sys_, form, split, foci = _analysis(args.input)
     report: dict = {"n": sys_.order}
-    for name in args.methods:
-        method = Method(name)
-        try:
-            union = _build_with_override(form, split, foci, method, args.extension)
-        except CriticalModePresent as exc:
-            report[f"{name}.skipped"] = str(exc)
-            continue
+    for union in _unions(args, form, split, foci, report):
+        name = union.method.value
         report[f"{name}.primitives"] = len(union.primitives)
         report[f"{name}.rigorous"] = union.rigorous
         for k, p in enumerate(union.primitives):
@@ -300,8 +295,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_overdamped(args) -> int:
-    sys_ = load_system(args.input)
-    form, split, foci = _modal_pipeline(sys_)
+    sys_, form, split, _ = _analysis(args.input)
     interval = od.exact_definiteness_interval(sys_, args.rtol)
     report: dict = {"n": sys_.order}
     if interval.empty:
@@ -319,18 +313,15 @@ def _cmd_overdamped(args) -> int:
         report[f"certificate_{variant}_p_minus"] = cert.p_minus
         report[f"certificate_{variant}_p_plus"] = cert.p_plus
         bounds = od.eigenvalue_intervals(form, split, variant)
-        for j, (lo, hi) in enumerate(bounds.lower):
-            report[f"intervals_{variant}.mode{j}.lower"] = [lo, hi]
-        for j, (lo, hi) in enumerate(bounds.upper):
-            report[f"intervals_{variant}.mode{j}.upper"] = [lo, hi]
+        for group in ("lower", "upper"):
+            for j, pair in enumerate(getattr(bounds, group)):
+                report[f"intervals_{variant}.mode{j}.{group}"] = list(pair)
     if args.epsilon is not None:
         try:
             env = od.eta_envelope(form, args.epsilon)
             report["envelope_epsilon"] = env.epsilon
-            report["envelope_minus_lower"] = [float(v) for v in env.minus_lower]
-            report["envelope_minus_upper"] = [float(v) for v in env.minus_upper]
-            report["envelope_plus_lower"] = [float(v) for v in env.plus_lower]
-            report["envelope_plus_upper"] = [float(v) for v in env.plus_upper]
+            for part in ("minus_lower", "minus_upper", "plus_lower", "plus_upper"):
+                report[f"envelope_{part}"] = [float(v) for v in getattr(env, part)]
         except (EpsilonTooLarge, ValueError) as exc:
             report["envelope"] = f"unavailable: {exc}"
     _emit(report, args.json)
@@ -338,32 +329,22 @@ def _cmd_overdamped(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    sys_ = load_system(args.input)
-    form, split, foci = _modal_pipeline(sys_)
-    unions = []
-    for name in args.methods:
-        unions.append(
-            _build_with_override(form, split, foci, Method(name), args.extension)
-        )
-    spectrum = true_spectrum(form)
-    emit_svg(unions, spectrum, args.output, args.resolution)
+    if args.resolution < 32:
+        raise InputError("resolution must be at least 32")
+    _, form, split, foci = _analysis(args.input)
+    unions = list(_unions(args, form, split, foci))
+    emit_svg(unions, true_spectrum(form), args.output, args.resolution)
     print(f"written: {args.output}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    sys_ = load_system(args.input)
-    form, split, foci = _modal_pipeline(sys_)
+    sys_, form, split, foci = _analysis(args.input)
     spectrum = true_spectrum(form)
     report: dict = {"n": sys_.order, "eigenvalues": [str(complex(v)) for v in spectrum.values]}
     failed = False
-    for name in args.methods:
-        method = Method(name)
-        try:
-            union = build_regions(form, split, foci, method)
-        except CriticalModePresent as exc:
-            report[f"{name}.skipped"] = str(exc)
-            continue
+    for union in _unions(args, form, split, foci, report):
+        name = union.method.value
         audit = check_inclusion(spectrum, union)
         report[f"{name}.all_contained"] = audit.all_contained
         report[f"{name}.min_margin"] = audit.min_margin
@@ -488,14 +469,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "resolution", None) is not None and args.resolution < 32:
-        print("error: resolution must be at least 32", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (OvalBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, NoConvergence) else 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ class NotPositiveDefinite(OvalBoundsError):
 
 
 class NoConvergence(OvalBoundsError):
-    """Dense eigensolver iteration cap exceeded (pathological scaling)."""
+    """An eigensolve or an iterative search did not converge."""
 
 
 class NonPositiveFrequency(OvalBoundsError):

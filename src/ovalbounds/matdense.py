@@ -196,7 +196,8 @@ class DampedSystem:
         cholesky(self.M, "M")
         cholesky(self.K, "K")
         w = np.linalg.eigvalsh(self.C.array)
-        if w.size and w[0] < -PSD_TOL * max(spectral_norm(self.C), 1e-300):
+        # for symmetric C the spectral norm is the largest |eigenvalue|
+        if w.size and w[0] < -PSD_TOL * max(abs(w[0]), abs(w[-1]), 1e-300):
             raise InputError(f"C is not positive semidefinite: min eigenvalue {w[0]:.3e}")
 
     @property

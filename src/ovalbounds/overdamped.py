@@ -111,11 +111,6 @@ def _pencil_top(M: np.ndarray, C: np.ndarray, K: np.ndarray, mu: float) -> tuple
     return float(w[0]), float(x @ (2.0 * mu * (M @ x) + C @ x))
 
 
-def pencil_max_eigenvalue(sys: DampedSystem, mu: float) -> float:
-    """Largest eigenvalue of Q(mu) = mu^2 M + mu C + K."""
-    return _pencil_top(sys.M.array, sys.C.array, sys.K.array, mu)[0]
-
-
 def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> DefinitenessInterval:
     """Compute the definiteness interval by Newton steps from both outer ends.
 
@@ -208,9 +203,7 @@ def sufficient_certificate(
             return CertificateRefusal(variant, "nonpositive damping gap", j)
         if deltas[j] <= 0.0:
             return CertificateRefusal(variant, "nonpositive delta", j)
-    roots_hi, roots_lo = quadratic_roots(gap, omega)
-    p_minus = float(np.max(roots_lo.real))
-    p_plus = float(np.min(roots_hi.real))
+    p_minus, p_plus = _modal_interval(gap, omega)
     if not p_minus < p_plus:
         return CertificateRefusal(variant, "interval ordering failed", None)
     return OverdampedCertificate(variant, deltas, p_minus, p_plus)

@@ -14,18 +14,7 @@ from .regions import RegionUnion
 BOUNDARY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Linearization:
-    """First-order companion of the modal quadratic problem."""
-
-    A: np.ndarray
-    layout: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _readonly(self.A))
-
-
-def linearize(form: ModalForm, layout: str = "block") -> Linearization:
+def linearize(form: ModalForm, layout: str = "block") -> np.ndarray:
     """Build the 2n x 2n companion matrix.
 
     ``block`` is [[0, W], [-W, -D]] with W = diag(omega); ``shuffled``
@@ -42,7 +31,7 @@ def linearize(form: ModalForm, layout: str = "block") -> Linearization:
         # coordinate 2i is block coordinate i, 2i + 1 is n + i
         p = np.arange(2 * n).reshape(2, n).T.ravel()
         A = A[p][:, p]
-    return Linearization(A, layout)
+    return A
 
 
 def qep_residuals(form: ModalForm, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -65,7 +54,7 @@ def true_spectrum(form: ModalForm) -> Spectrum:
     ||Q(lam) x|| / ||x||, an upper bound on the smallest singular value of
     Q(lam).
     """
-    values, vectors = _eig_sorted(linearize(form, "block").A, right=True)
+    values, vectors = _eig_sorted(linearize(form, "block"), right=True)
     return Spectrum(values, qep_residuals(form, values, vectors[form.order :]))
 
 
@@ -145,6 +134,6 @@ def compare_regions(
 
 def layout_eigenvalue_gap(form: ModalForm) -> float:
     """Largest matched-pair distance between block and shuffled eigenvalues."""
-    a = complex_eig(linearize(form, "block").A)
-    b = complex_eig(linearize(form, "shuffled").A)
+    a = complex_eig(linearize(form, "block"))
+    b = complex_eig(linearize(form, "shuffled"))
     return float(np.max(np.abs(a - b))) if len(a) else 0.0

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import ovalbounds.cli as cli
+import ovalbounds.overdamped as od
+from ovalbounds.errors import NoConvergence
 from ovalbounds.matdense import load_system, save_system
 from ovalbounds.regions import Method
 
@@ -244,8 +246,9 @@ class TestVerifyCommand:
             if name.startswith("ovalbounds") and getattr(mod, "spectral_norm", None) is real:
                 monkeypatch.setattr(mod, "spectral_norm", counted)
         assert cli.main(["verify", "--input", str(out), "--json"]) == 0
-        # C when loading, then D, D' and the frequency-scaled D once each
-        assert len(calls) == 4
+        # D, D' and the frequency-scaled D once each; loading takes the norm
+        # of C from its eigenvalues
+        assert len(calls) == 3
 
 
 class TestRejectedFlags:
@@ -324,6 +327,55 @@ class TestParser:
             m.value for m in Method if m is not Method.MODAL_DISK_APPROX
         }
         assert default == expected
+
+
+class TestCriticalMode:
+    """theta = 1: the condition-number regions refuse the critical mode."""
+
+    def test_regions_reports_skip(self, tmp_path, capsys):
+        path = write_scalar(tmp_path, 1, 2, 1)
+        methods = ["--method", "MODAL_DISK_NORM", "--method", "MODAL_OVAL_NORM"]
+        assert cli.main(["regions", "--input", str(path), *methods, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["MODAL_DISK_NORM.skipped"] == "critical mode at index 0"
+        assert "MODAL_DISK_NORM.primitives" not in report
+        assert report["MODAL_OVAL_NORM.primitives"] == 1
+
+    def test_verify_skips_modal_disks(self, tmp_path, capsys):
+        path = write_scalar(tmp_path, 1, 2, 1)
+        assert cli.main(["verify", "--input", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        skipped = {k.split(".")[0] for k in report if k.endswith(".skipped")}
+        assert skipped == {"MODAL_DISK_NORM", "MODAL_DISK_ROWSUM"}
+        assert "MODAL_DISK_NORM.all_contained" not in report
+        assert report["MODAL_OVAL_NORM.all_contained"] is True
+
+    def test_plot_refuses(self, tmp_path, capsys):
+        path = write_scalar(tmp_path, 1, 2, 1)
+        out = tmp_path / "fig.svg"
+        argv = ["plot", "--input", str(path), "--output", str(out)]
+        assert cli.main([*argv, "--method", "MODAL_DISK_ROWSUM"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: critical mode at index 0\n"
+        assert not out.exists()
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize(
+        "owner,name,command",
+        [(cli, "true_spectrum", "verify"), (od, "exact_definiteness_interval", "overdamped")],
+    )
+    def test_exit_4(self, tmp_path, capsys, monkeypatch, owner, name, command):
+        def fail(*args, **kwargs):
+            raise NoConvergence("no convergence in the test")
+
+        monkeypatch.setattr(owner, name, fail)
+        path = write_scalar(tmp_path, 1, 3, 1)
+        assert cli.main([command, "--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no convergence in the test\n"
 
 
 class TestErrorPaths:
