@@ -245,7 +245,7 @@ def _cmd_analyze(args) -> int:
     sys_, form, split, foci = _analysis(args.input)
     report: dict = {"n": sys_.order}
     report["omega"] = [float(w) for w in form.omega]
-    report["modally_damped"] = bool(is_modally_damped(sys_, args.rtol))
+    report["modally_damped"] = bool(is_modally_damped(form, args.rtol))
     report["damping_norm"] = form.damping_norm
     report["dprime_norm_diagonal"] = split.dprime_norm
     maximal = modal_split(form, "maximal")
@@ -312,9 +312,8 @@ def _cmd_overdamped(args) -> int:
         report[f"certificate_{variant}"] = "success"
         report[f"certificate_{variant}_p_minus"] = cert.p_minus
         report[f"certificate_{variant}_p_plus"] = cert.p_plus
-        bounds = od.eigenvalue_intervals(form, split, variant)
         for group in ("lower", "upper"):
-            for j, pair in enumerate(getattr(bounds, group)):
+            for j, pair in enumerate(getattr(cert.bounds, group)):
                 report[f"intervals_{variant}.mode{j}.{group}"] = list(pair)
     if args.epsilon is not None:
         try:
@@ -371,14 +370,19 @@ class _Methods(argparse.Action):
         setattr(namespace, self.dest, [*methods, values])
 
 
-def _order(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return n
+def _integer(low: int):
+    """Argument type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _rtol(text: str) -> float:
@@ -389,6 +393,16 @@ def _rtol(text: str) -> float:
     if not 0.0 < tol < 1.0:
         raise argparse.ArgumentTypeError(f"must be a relative tolerance in (0, 1), got {text!r}")
     return tol
+
+
+def _extension(text: str) -> float:
+    try:
+        ext = float(text)
+    except ValueError:
+        ext = np.nan
+    if not 0.0 <= ext < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text!r}")
+    return ext
 
 
 @functools.cache
@@ -416,7 +430,7 @@ def _parser() -> argparse.ArgumentParser:
     def extension(p):
         p.add_argument(
             "--extension",
-            type=float,
+            type=_extension,
             default=None,
             help="override the disk radius or oval extension (not BRAUER)",
         )
@@ -457,8 +471,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a random test system")
     p.add_argument("--output", required=True)
-    p.add_argument("--n", type=_order, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_integer(1), default=4)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--gamma", type=float, default=1.0, help="damping scale")
     p.add_argument(
         "--overdamped", action="store_true", help="scale damping until overdamped"

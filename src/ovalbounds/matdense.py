@@ -107,13 +107,6 @@ def cholesky(S: SymMatrix, name: str = "matrix") -> np.ndarray:
     return L
 
 
-def solve_spd(S: SymMatrix, B, name: str = "matrix") -> np.ndarray:
-    """Solve S X = B for symmetric positive definite S via Cholesky."""
-    L = cholesky(S, name)
-    Y = scipy.linalg.solve_triangular(L, np.asarray(B, dtype=float), lower=True)
-    return scipy.linalg.solve_triangular(L.T, Y, lower=False)
-
-
 def sym_eig(S: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of S."""
     try:

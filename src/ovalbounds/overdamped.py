@@ -44,13 +44,15 @@ class DefinitenessInterval:
 
 @dataclass(frozen=True)
 class OverdampedCertificate:
-    """Sufficient-condition certificate: all deltas positive and the interval
-    (p_minus, p_plus) proving negative definiteness."""
+    """Sufficient-condition certificate: all deltas positive, the interval
+    (p_minus, p_plus) proving negative definiteness, and the eigenvalue
+    interval bounds it proves."""
 
     variant: str
     deltas: np.ndarray
     p_minus: float
     p_plus: float
+    bounds: IntervalBounds
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", _readonly(self.deltas))
@@ -165,19 +167,6 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
     raise NoConvergence(f"definiteness interval search did not settle in {_NEWTON_STEPS} steps")
 
 
-def _certificate_inputs(form: ModalForm, split: ModalSplit, variant: str):
-    if not split.is_diagonal_mode:
-        raise CertificateMissing("certificates require the diagonal split")
-    d = split.diag
-    if variant == "norm":
-        x = np.full(len(d), split.dprime_norm)
-    elif variant == "gershgorin":
-        x = split.dprime_rowsums
-    else:
-        raise ValueError(f"unknown certificate variant {variant!r}")
-    return d, form.omega, x
-
-
 def sufficient_certificate(
     form: ModalForm, split: ModalSplit, variant: str = "norm"
 ) -> OverdampedCertificate | CertificateRefusal:
@@ -194,8 +183,26 @@ def sufficient_certificate(
     intervals.  The gap positivity is part of the dominance argument: with
     d_jj <= x_j the quadratic roots turn positive and prove nothing.
     Refusal is a value, not an error, and does not imply non-overdamped.
+
+    A certificate carries the per-mode bounds of the two eigenvalue groups.
+    For mode j with perturbation size x_j (||Dprime|| or the row sum r_j)
+    the outer/inner endpoints are
+
+        (-d_jj - x_j +- sqrt((d_jj + x_j)^2 - 4 omega_j^2)) / 2
+        (-d_jj + x_j +- sqrt((d_jj - x_j)^2 - 4 omega_j^2)) / 2
+
+    giving the lower-group interval (outer-, inner-) and the upper-group
+    interval (inner+, outer+).
     """
-    d, omega, x = _certificate_inputs(form, split, variant)
+    if not split.is_diagonal_mode:
+        raise CertificateMissing("certificates require the diagonal split")
+    d, omega = split.diag, form.omega
+    if variant == "norm":
+        x = np.full(len(d), split.dprime_norm)
+    elif variant == "gershgorin":
+        x = split.dprime_rowsums
+    else:
+        raise ValueError(f"unknown certificate variant {variant!r}")
     gap = d - x
     deltas = gap * gap - 4.0 * omega**2
     for j in range(len(d)):
@@ -206,33 +213,23 @@ def sufficient_certificate(
     p_minus, p_plus = _modal_interval(gap, omega)
     if not p_minus < p_plus:
         return CertificateRefusal(variant, "interval ordering failed", None)
-    return OverdampedCertificate(variant, deltas, p_minus, p_plus)
+    outer_p, outer_m = quadratic_roots(d + x, omega)
+    inner_p, inner_m = quadratic_roots(d - x, omega)
+    lower = tuple(zip(outer_m.real.tolist(), inner_m.real.tolist()))
+    upper = tuple(zip(inner_p.real.tolist(), outer_p.real.tolist()))
+    bounds = IntervalBounds(variant, lower, upper)
+    return OverdampedCertificate(variant, deltas, p_minus, p_plus, bounds)
 
 
 def eigenvalue_intervals(
     form: ModalForm, split: ModalSplit, variant: str = "norm"
 ) -> IntervalBounds:
-    """Per-mode interval bounds for the two eigenvalue groups.
-
-    Requires the corresponding sufficient certificate; raises
-    CertificateMissing on refusal.  For mode j with perturbation size x_j
-    (||Dprime|| or the row sum r_j) the outer/inner endpoints are
-
-        (-d_jj - x_j +- sqrt((d_jj + x_j)^2 - 4 omega_j^2)) / 2
-        (-d_jj + x_j +- sqrt((d_jj - x_j)^2 - 4 omega_j^2)) / 2
-
-    giving the lower-group interval (outer-, inner-) and the upper-group
-    interval (inner+, outer+).
-    """
+    """The interval bounds of the corresponding sufficient certificate;
+    raises CertificateMissing on refusal."""
     cert = sufficient_certificate(form, split, variant)
     if isinstance(cert, CertificateRefusal):
         raise CertificateMissing(f"{variant} certificate refused: {cert.reason}")
-    d, omega, x = _certificate_inputs(form, split, variant)
-    outer_p, outer_m = quadratic_roots(d + x, omega)
-    inner_p, inner_m = quadratic_roots(d - x, omega)
-    lower = tuple(zip(outer_m.real.tolist(), inner_m.real.tolist()))
-    upper = tuple(zip(inner_p.real.tolist(), outer_p.real.tolist()))
-    return IntervalBounds(variant, lower, upper)
+    return cert.bounds
 
 
 def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:

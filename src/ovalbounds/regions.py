@@ -1,10 +1,10 @@
 """Eigenvalue inclusion regions: disks, quasi/modified Cassini ovals, double
 ovals, the method constructors, and rasterized component analysis.
 
-Membership predicates are exact (no tolerance).  Every region type has one
-signed margin (right side minus left side of its defining inequality,
-positive inside) that takes a scalar or an array; membership, inclusion
-audits, contour extraction and rasterization all call it.
+Membership predicates are exact (no tolerance).  Each region kind writes
+its signed margin (right side minus left side of its defining inequality,
+positive inside) and its bounding box once, over packed arrays; primitive
+values evaluate through a one-primitive kind.
 """
 
 from __future__ import annotations
@@ -48,12 +48,24 @@ class Box:
 
 
 class _Primitive:
-    """Shared membership of the region primitives.
-
-    Each primitive defines one ``margin(z)``: the right side minus the left
-    side of its inequality, written with numpy so that z may be a scalar or
-    an array.  A point is a member exactly where its margin is nonnegative.
+    """Shared evaluation of the region primitives: a value packs itself into
+    a one-primitive kind and evaluates that kind's inequality and box.  A
+    point is a member exactly where its margin is nonnegative.
     """
+
+    def margin(self, z):
+        """Margin at z in chunks of CHUNK_ELEMENTS points: a numpy scalar for
+        a scalar z, otherwise an array of z's shape."""
+        (kind,) = _Primitives.pack((self,)).kinds
+        z = np.asarray(z, dtype=complex)
+        flat, out = z.ravel(), np.empty(z.size)
+        for lo in range(0, z.size, CHUNK_ELEMENTS):
+            out[lo : lo + CHUNK_ELEMENTS] = kind.margins(flat[lo : lo + CHUNK_ELEMENTS])[0]
+        return out.reshape(z.shape)[()]
+
+    def bounding_box(self) -> Box:
+        (kind,) = _Primitives.pack((self,)).kinds
+        return Box(*(float(edge[0]) for edge in kind.boxes()))
 
     def contains(self, lam: complex) -> bool:
         return bool(self.margin(lam) >= 0.0)
@@ -65,13 +77,6 @@ class Disk(_Primitive):
 
     center: complex
     radius: float
-
-    def margin(self, z):
-        return self.radius - np.abs(z - self.center)
-
-    def bounding_box(self) -> Box:
-        c, r = self.center, self.radius
-        return Box(c.real - r, c.real + r, c.imag - r, c.imag + r)
 
     @property
     def is_degenerate(self) -> bool:
@@ -95,19 +100,6 @@ class QuasiOval(_Primitive):
     r: float
     q: float = 0.0
 
-    def margin(self, z):
-        return (np.abs(z) * self.r + self.q) - np.abs(z - self.focus_plus) * np.abs(
-            z - self.focus_minus
-        )
-
-    def modulus_bound(self) -> float:
-        """Safe bound on |lam| over the member set."""
-        return float(_oval_bound(abs(self.focus_plus), abs(self.focus_minus), self.r, self.q))
-
-    def bounding_box(self) -> Box:
-        R = self.modulus_bound()
-        return Box(-R, R, -R, R)
-
     @property
     def is_degenerate(self) -> bool:
         return self.r == 0.0 and self.q == 0.0
@@ -124,40 +116,12 @@ class DoubleOval(_Primitive):
     foci: tuple[complex, complex, complex, complex]
     bound: float
 
-    def margin(self, z):
-        f1, f2, f3, f4 = self.foci
-        prod = np.abs(z - f1) * np.abs(z - f2) * np.abs(z - f3) * np.abs(z - f4)
-        return self.bound * np.abs(z) ** 2 - prod
-
-    def modulus_bound(self) -> float:
-        return float(_double_oval_bound(max(abs(f) for f in self.foci), self.bound))
-
-    def bounding_box(self) -> Box:
-        R = self.modulus_bound()
-        return Box(-R, R, -R, R)
-
     @property
     def is_degenerate(self) -> bool:
         return self.bound == 0.0
 
 
 RegionPrimitive = Disk | QuasiOval | DoubleOval
-
-
-def _oval_bound(abs_plus, abs_minus, r, q):
-    """Bound on |lam| over a quasi oval with focus moduli abs_plus and
-    abs_minus, elementwise."""
-    f = abs_plus + abs_minus + r
-    disc = f * f - 4.0 * np.maximum(0.0, abs_plus * abs_minus - q)
-    return 0.5 * (f + np.sqrt(np.maximum(disc, 0.0)))
-
-
-def _double_oval_bound(m, bound):
-    """Bound on |lam| over a double oval whose largest focus modulus is m,
-    elementwise."""
-    half = 2.0 * m + np.sqrt(np.maximum(bound, 0.0))
-    disc = half * half - 4.0 * m * m
-    return 0.5 * (half + np.sqrt(np.maximum(disc, 0.0)))
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
@@ -201,11 +165,11 @@ class _Kind:
     """The primitives of one kind in a union, stored as arrays.
 
     ``pos`` holds each primitive's position in the union, ascending.  Each
-    kind gives ``margins(z, absz)``, the (primitives x points) margins at a
-    chunk of points with the same operations in the same order as its
-    dataclass's ``margin``, ``boxes()``, the (xmin, xmax, ymin, ymax) arrays
-    of the primitives' bounding boxes, equal to theirs bit for bit, and
-    ``item(i)``, its i-th primitive as that dataclass.
+    kind writes its inequality and box once: ``margins(z)``, the (primitives
+    x points) margins at a 1-d chunk of points, and ``boxes()``, the (xmin,
+    xmax, ymin, ymax) arrays of the primitives' bounding boxes.  ``item(i)``
+    gives its i-th primitive as a dataclass value, which evaluates through
+    a one-primitive kind.
     """
 
     def __len__(self) -> int:
@@ -219,7 +183,7 @@ class _Kind:
         step = max(1, CHUNK_ELEMENTS // len(self.pos))
         for lo in range(0, len(z), step):
             zc = z[lo : lo + step]
-            m = self.margins(zc, np.abs(zc))
+            m = self.margins(zc)
             k = np.argmax(m, axis=0)
             best[lo : lo + step] = np.take_along_axis(m, k[None, :], axis=0)[0]
             index[lo : lo + step] = self.pos[k]
@@ -245,7 +209,7 @@ class _Disks(_Kind):
     def item(self, i) -> Disk:
         return Disk(complex(self.center[i]), float(self.radius[i]))
 
-    def margins(self, z, absz):
+    def margins(self, z):
         return self.radius[:, None] - np.abs(z - self.center[:, None])
 
     def boxes(self):
@@ -276,16 +240,19 @@ class _Ovals(_Kind):
             complex(self.plus[i]), complex(self.minus[i]), float(self.r[i]), float(self.q[i])
         )
 
-    def margins(self, z, absz):
+    def margins(self, z):
         prod = np.abs(z - self.plus[:, None])
         prod *= np.abs(z - self.minus[:, None])
-        m = absz * self.r[:, None]
+        m = np.abs(z) * self.r[:, None]
         m += self.q[:, None]
         m -= prod
         return m
 
     def boxes(self):
-        R = _oval_bound(_moduli(self.plus), _moduli(self.minus), self.r, self.q)
+        abs_plus, abs_minus = _moduli(self.plus), _moduli(self.minus)
+        f = abs_plus + abs_minus + self.r
+        disc = f * f - 4.0 * np.maximum(0.0, abs_plus * abs_minus - self.q)
+        R = 0.5 * (f + np.sqrt(np.maximum(disc, 0.0)))
         return -R, R, -R, R
 
 
@@ -313,20 +280,23 @@ class _DoubleOvals(_Kind):
         foci = (self.plus[a], self.minus[a], self.plus[b], self.minus[b])
         return DoubleOval(tuple(map(complex, foci)), float(self.bound[i]))
 
-    def margins(self, z, absz):
+    def margins(self, z):
         dplus = np.abs(z - self.plus[:, None])
         dminus = np.abs(z - self.minus[:, None])
         prod = np.take(dplus * dminus, self.a, axis=0)
         m = np.take(dplus, self.b, axis=0)
         prod *= m
         prod *= np.take(dminus, self.b, axis=0, out=m)
-        np.multiply(self.bound[:, None], absz**2, out=m)
+        np.multiply(self.bound[:, None], np.abs(z) ** 2, out=m)
         m -= prod
         return m
 
     def boxes(self):
         mode = np.maximum(_moduli(self.plus), _moduli(self.minus))
-        R = _double_oval_bound(np.maximum(mode[self.a], mode[self.b]), self.bound)
+        m = np.maximum(mode[self.a], mode[self.b])
+        half = 2.0 * m + np.sqrt(np.maximum(self.bound, 0.0))
+        disc = half * half - 4.0 * m * m
+        R = 0.5 * (half + np.sqrt(np.maximum(disc, 0.0)))
         return -R, R, -R, R
 
 

@@ -6,7 +6,7 @@ import pytest
 import ovalbounds.cli as cli
 import ovalbounds.overdamped as od
 from ovalbounds.errors import NoConvergence
-from ovalbounds.matdense import load_system, save_system
+from ovalbounds.matdense import DampedSystem, SymMatrix, load_system, save_system
 from ovalbounds.regions import Method
 
 
@@ -68,6 +68,23 @@ class TestOverdampedCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["exact_interval"] == "empty"
         assert "exact_interval_lo" not in report
+
+    def test_each_certificate_computed_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "sys.json"
+        C = np.array([[6.0, 0.1], [0.1, 10.0]])
+        save_system(DampedSystem(SymMatrix(np.eye(2)), SymMatrix(C), SymMatrix(np.diag([1.0, 4.0]))), path)
+        real, calls = od.sufficient_certificate, []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(od, "sufficient_certificate", counted)
+        assert cli.main(["overdamped", "--input", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificate_norm"] == report["certificate_gershgorin"] == "success"
+        assert len(report["intervals_gershgorin.mode1.upper"]) == 2
+        assert calls == ["norm", "gershgorin"]
 
     def test_epsilon_envelope_report(self, tmp_path, capsys):
         path = write_scalar(tmp_path, 1, 3, 2)
@@ -266,6 +283,11 @@ class TestRejectedFlags:
             (command, ["--rtol", value])
             for command in ("analyze", "overdamped")
             for value in ("nan", "-0.5", "0", "1", "0.5e1", "inf", "x")
+        ]
+        + [
+            (command, ["--extension", value])
+            for command in ("regions", "plot")
+            for value in ("nan", "-0.5", "-1", "inf", "-inf", "x")
         ],
     )
     def test_exit_2_naming_the_flag(self, tmp_path, capsys, command, flags):
@@ -296,6 +318,27 @@ class TestRejectedValues:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err and "--n" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "2.5", "x"])
+    def test_gen_seed_below_zero(self, tmp_path, capsys, seed):
+        out = tmp_path / "sys.json"
+        try:
+            code = cli.main(["gen", "--output", str(out), "--seed", seed])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err and "--seed" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["regions", "plot"])
+    def test_zero_extension_accepted(self, tmp_path, capsys, command):
+        path = write_scalar(tmp_path, 1, 3, 2)
+        argv = [command, "--input", str(path), "--extension", "0"]
+        if command == "plot":
+            argv += ["--output", str(tmp_path / "x.svg")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["analyze", "overdamped"])
     def test_rtol_accepted(self, tmp_path, capsys, command):

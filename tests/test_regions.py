@@ -110,7 +110,33 @@ def grid_points(count, seed):
     return rng.uniform(-3, 3, count) + 1j * rng.uniform(-3, 3, count)
 
 
+def formula_margin(p, z):
+    """Right side minus left side of each primitive's inequality, written out
+    per primitive with numpy as in the paper."""
+    if isinstance(p, Disk):
+        return p.radius - np.abs(z - p.center)
+    if isinstance(p, QuasiOval):
+        return (np.abs(z) * p.r + p.q) - np.abs(z - p.focus_plus) * np.abs(z - p.focus_minus)
+    f1, f2, f3, f4 = p.foci
+    prod = np.abs(z - f1) * np.abs(z - f2) * np.abs(z - f3) * np.abs(z - f4)
+    return p.bound * np.abs(z) ** 2 - prod
+
+
 class TestMargin:
+    @pytest.mark.parametrize("p", KINDS, ids=lambda p: type(p).__name__)
+    def test_bitwise_equals_the_formulas(self, p):
+        chunk = regions.CHUNK_ELEMENTS
+        line = grid_points(chunk + 1, 10)
+        xs = np.linspace(-3.0, 3.0, 65)
+        cases = [complex(line[0]), line[1]]
+        cases += [line[:count] for count in (0, 1, chunk - 1, chunk, chunk + 1)]
+        cases.append(xs[None, :] + 1j * xs[::2, None])
+        for z in cases:
+            got, expect = p.margin(z), formula_margin(p, z)
+            assert np.shape(got) == np.shape(z)
+            assert isinstance(got, np.ndarray if np.ndim(z) else np.float64)
+            assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
     @pytest.mark.parametrize("p", KINDS, ids=lambda p: type(p).__name__)
     def test_scalar_equals_array(self, p):
         for z in grid_points(200, 5):
@@ -283,7 +309,7 @@ class TestBoundingBox:
     def test_oval_formula(self):
         p = QuasiOval(1j, -1j, 0.3)
         expect = 0.5 * (2.3 + np.sqrt(2.3**2 - 4.0))
-        assert p.modulus_bound() == pytest.approx(expect)
+        assert p.bounding_box().xmax == pytest.approx(expect)
 
     def test_members_inside_box(self):
         prims = [
