@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -521,6 +522,21 @@ class TestBoundaryPolyline:
     def test_figure_loop_counts(self, d, r, _, loops):
         lp, lm = quadratic_roots(d, 1.0)
         assert len(boundary_polyline(QuasiOval(lp, lm, r), 512)) == loops
+
+    @pytest.mark.parametrize("method", [Method.MODAL_OVAL_NORM, Method.BRAUER, Method.MODAL_DISK_ROWSUM])
+    def test_temporaries_stay_small(self, method):
+        # At 8.7 MB (a full complex grid plus copies) the temporaries sat at
+        # glibc's heap trim threshold, about 8.4 MB here, and repeated calls
+        # switched between reusing their memory and faulting it in again.
+        union, _ = system_union(8, method, seed=1)
+        p = next(q for q in union.primitives if not q.is_degenerate)
+        tracemalloc.start()
+        try:
+            boundary_polyline(p, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_points_on_implicit_zero(self):
         p = QuasiOval(-0.5 + 0.9j, -0.5 - 0.9j, 0.35)
