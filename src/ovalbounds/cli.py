@@ -100,11 +100,11 @@ def random_system(
 # SVG emission
 
 
-def _svg_path(loop, fmt=_f6) -> str:
-    cmds = [f"M {fmt(loop[0][0])} {fmt(-loop[0][1])}"]
-    cmds += [f"L {fmt(x)} {fmt(-y)}" for x, y in loop[1:-1]]
-    cmds.append("Z")
-    return " ".join(cmds)
+def _svg_path(loop) -> str:
+    """Path data of a closed polyline (its last vertex repeats its first),
+    y negated, in one %-format: "%.6g" % x equals ``_f6(x)``."""
+    xy = loop[:-1] * (1.0, -1.0)
+    return ("M %.6g %.6g " + "L %.6g %.6g " * (len(xy) - 1) + "Z") % tuple(xy.ravel().tolist())
 
 
 def emit_svg(

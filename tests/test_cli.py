@@ -181,6 +181,17 @@ class TestPlotCommand:
         assert text.count("<path") >= 2  # two oval loops plus eigenvalue crosses
         assert ">Re<" in text and ">Im<" in text
 
+    def test_svg_path_formats_each_coordinate_as_f6(self):
+        # one %-format over the loop against the per-vertex f-strings it replaced
+        rng = np.random.default_rng(0)
+        special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e300, 123456.5, 1234567.0]
+        xs = np.concatenate([rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000), special])
+        loop = np.column_stack([xs, rng.permutation(xs)])
+        for loop in (np.vstack([loop, loop[:1]]), loop[[3, 3]]):
+            cmds = [f"M {cli._f6(loop[0][0])} {cli._f6(-loop[0][1])}"]
+            cmds += [f"L {cli._f6(x)} {cli._f6(-y)}" for x, y in loop[1:-1]]
+            assert cli._svg_path(loop) == " ".join(cmds + ["Z"])
+
     def test_empty_svg_valid(self, tmp_path):
         cli.emit_svg([], None, tmp_path / "empty.svg")
         text = (tmp_path / "empty.svg").read_text()

@@ -499,7 +499,83 @@ FIGURE_PANELS = [
 ]
 
 
+def full_grid_polyline(p, resolution):
+    """The tracer over the full grid of nodes, which the narrow band
+    replaced: the reference for its loops, bit for bit."""
+    if p.is_degenerate:
+        return []
+    box = p.bounding_box().padded(0.05)
+    xs = np.linspace(box.xmin, box.xmax, resolution + 1)
+    ys = np.linspace(box.ymin, box.ymax, resolution + 1)
+    Gs = -p.margin(xs[None, :] + 1j * ys[:, None])
+    Gs[Gs == 0.0] = -np.finfo(float).tiny
+    inside = (Gs <= 0.0).view(np.int8)
+    cases = inside[:-1, :-1] | inside[:-1, 1:] << 1 | inside[1:, 1:] << 2 | inside[1:, :-1] << 3
+    centre_inside = 0.25 * (((Gs[:-1, :-1] + Gs[:-1, 1:]) + Gs[1:, :-1]) + Gs[1:, 1:]) <= 0
+    cases[(cases == 5) & centre_inside] = 16
+    cases[(cases == 10) & centre_inside] = 17
+
+    w = resolution + 1
+    side_offset = np.array([0, w * w + w, 1, w * w])
+    iy, ix = np.nonzero((cases != 0) & (cases != 15))
+    segs = regions._CASES[cases[iy, ix]].reshape(-1, 2)
+    ends = (np.repeat(ix * w + iy, 2)[:, None] + side_offset[segs])[segs[:, 0] >= 0].ravel()
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    new = np.diff(ends, prepend=-1) != 0
+    crossing = np.empty_like(order)
+    crossing[order] = np.cumsum(new) - 1
+    partner = crossing[order ^ 1]
+    heads = np.flatnonzero(new)
+    twice = np.diff(np.append(heads, ends.size)) == 2
+    first = partner[heads].tolist()
+    second = np.where(twice, partner[heads + twice], -1).tolist()
+
+    horiz = ends[heads] < w * w
+    col, row = np.divmod(ends[heads] % (w * w), w)
+    col1, row1 = col + horiz, row + ~horiz
+    a, b = Gs[row, col], Gs[row1, col1]
+    t = a / (a - b)
+    points = np.column_stack(
+        (
+            np.where(horiz, xs[col] + t * (xs[col1] - xs[col]), xs[col]),
+            np.where(horiz, ys[row], ys[row] + t * (ys[row1] - ys[row])),
+        )
+    )
+    loops, used = [], [False] * len(first)
+    for start in range(len(first)):
+        if used[start]:
+            continue
+        loop, used[start] = [start], True
+        prev, cur = start, first[start]
+        while cur >= 0 and cur != start and not used[cur]:
+            loop.append(cur)
+            used[cur] = True
+            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
+        loops.append(points[loop + [start]])
+    return loops
+
+
 class TestBoundaryPolyline:
+    @pytest.mark.parametrize("resolution", [32, 33, 64, 512])
+    @pytest.mark.parametrize("n,seed", [(1, 0), (3, 2), (6, 4)])
+    def test_equals_the_full_grid_tracer(self, n, seed, resolution):
+        form = to_modal(random_system(n, seed))
+        prims = [
+            QuasiOval(f, -f, 0.0, q)
+            for f in (complex(np.exp(1j * np.pi / 4)), complex(np.exp(-1j * np.pi / 4)))
+            for q in (0.995, 1.0)
+        ]
+        for method in Method:
+            try:
+                prims += build_regions(*pipeline_of(form), method).primitives
+            except CriticalModePresent:
+                continue
+        for p in prims:
+            loops, reference = boundary_polyline(p, resolution), full_grid_polyline(p, resolution)
+            assert len(loops) == len(reference)
+            assert all(np.array_equal(a, b) for a, b in zip(loops, reference))
+
     def test_disk_radial_deviation(self):
         disk = Disk(0j, 1.0)
         loops = boundary_polyline(disk, 256)
@@ -528,6 +604,7 @@ class TestBoundaryPolyline:
         # At 8.7 MB (a full complex grid plus copies) the temporaries sat at
         # glibc's heap trim threshold, about 8.4 MB here, and repeated calls
         # switched between reusing their memory and faulting it in again.
+        # The narrow band peaks at 1.4 to 3.0 MB, in its batches of nodes.
         union, _ = system_union(8, method, seed=1)
         p = next(q for q in union.primitives if not q.is_degenerate)
         tracemalloc.start()
@@ -536,7 +613,62 @@ class TestBoundaryPolyline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+        assert peak < 3.5e6
+
+    def test_margins_only_in_a_narrow_band(self, monkeypatch):
+        union, _ = system_union(8, Method.MODAL_OVAL_NORM, seed=1)
+        evaluated = []
+        margins = regions._Ovals.margins
+        monkeypatch.setattr(
+            regions._Ovals, "margins", lambda kind, z: evaluated.append(z.size) or margins(kind, z)
+        )
+        assert boundary_polyline(union.primitives[0], 512)
+        assert sum(evaluated) < 0.15 * 513**2
+
+    @pytest.mark.parametrize("resolution", [33, 512])
+    @pytest.mark.parametrize("n,seed", [(1, 0), (3, 2), (6, 4)])
+    def test_certified_blocks_have_one_sign(self, monkeypatch, n, seed, resolution):
+        # every block the tracer skips has its centre's sign at all its nodes
+        # of the full grid, whose last node stands in for the clipped ones
+        calls = []
+
+        def recording(variation):
+            def wrapped(kind, z0, delta):
+                bound = variation(kind, z0, delta)
+                calls.append((z0, bound[0]))
+                return bound
+
+            return wrapped
+
+        for kind in (regions._Disks, regions._Ovals, regions._DoubleOvals):
+            monkeypatch.setattr(kind, "variation", recording(kind.variation))
+        B = regions.BLOCK_CELLS
+        blocks = -(-resolution // B)
+        form = to_modal(random_system(n, seed))
+        certified_blocks = 0
+        for method in Method:
+            try:
+                union = build_regions(*pipeline_of(form), method)
+            except CriticalModePresent:
+                continue
+            for p in union.primitives:
+                calls.clear()
+                boundary_polyline(p, resolution)
+                if p.is_degenerate:
+                    assert calls == []
+                    continue
+                ((z0, bound),) = calls
+                m0 = p.margin(z0)
+                certified = (np.abs(m0) > bound).reshape(blocks, blocks)
+                box = p.bounding_box().padded(0.05)
+                xs = np.linspace(box.xmin, box.xmax, resolution + 1)
+                ys = np.linspace(box.ymin, box.ymax, resolution + 1)
+                G = np.pad(p.margin(xs[None, :] + 1j * ys[:, None]), (0, blocks * B - resolution), mode="edge")
+                nodes = np.lib.stride_tricks.sliding_window_view(G, (B + 1, B + 1))[::B, ::B]
+                inside = (m0.reshape(blocks, blocks) >= 0)[certified]
+                assert np.all((nodes[certified] >= 0) == inside[:, None, None])
+                certified_blocks += certified.sum()
+        assert certified_blocks > 0
 
     def test_points_on_implicit_zero(self):
         p = QuasiOval(-0.5 + 0.9j, -0.5 - 0.9j, 0.35)
@@ -590,6 +722,62 @@ class TestBoundaryPolyline:
             for end in (loop[1:], loop[:-1]):
                 assert np.all((xs[jx] <= end[:, 0]) & (end[:, 0] <= xs[jx + 1]))
                 assert np.all((ys[jy] <= end[:, 1]) & (end[:, 1] <= ys[jy + 1]))
+
+
+def scaled_kinds(s):
+    """A packed kind of each sort, its primitives scaled by s: regions
+    and margins map to s times themselves (double ovals' margins to s**4)."""
+    kinds = (
+        (Disk(0.3 - 2j, 0.7), Disk(-1.0 + 0j, 0.05), Disk(2j, 3.0)),
+        (
+            QuasiOval(-0.1 + 1j, -0.1 - 1j, 0.4),
+            QuasiOval(-0.5 + 0j, -2.0 + 0j, 0.1, 0.3),
+            QuasiOval(-1e-3 + 3j, -1e-3 - 3j, 1e-4),
+        ),
+        (
+            DoubleOval((-0.1 + 1j, -0.1 - 1j, -0.3 + 2j, -0.3 - 2j), 0.5),
+            DoubleOval((-1.0 + 0j, -3.0 + 0j, -0.2 + 0.5j, -0.2 - 0.5j), 2.0),
+        ),
+    )
+    scaled = [
+        [Disk(s * p.center, s * p.radius) for p in kinds[0]],
+        [QuasiOval(s * p.focus_plus, s * p.focus_minus, s * p.r, s * s * p.q) for p in kinds[1]],
+        [DoubleOval(tuple(s * f for f in p.foci), s * s * p.bound) for p in kinds[2]],
+    ]
+    return [regions._Primitives.pack(prims).kinds[0] for prims in scaled]
+
+
+class TestVariation:
+    @pytest.mark.parametrize("s", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["disks", "ovals", "double_ovals"])
+    def test_bounds_the_margin_change(self, which, s):
+        # |m(z) - m(z0)| <= variation(z0, delta) for |z - z0| <= delta, at
+        # random points, at and next to the foci and next to 0, for delta
+        # from 1e-6 to 1e3 times the scale
+        kind = scaled_kinds(s)[which]
+        rng = np.random.default_rng(which)
+        foci = np.array([f for i in range(len(kind)) for f in kind.item(i).foci])
+        count = 400
+        jitter = s * 1e-9 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+        z0 = np.concatenate(
+            [
+                s * (rng.uniform(-4, 4, count) + 1j * rng.uniform(-4, 4, count)),
+                rng.choice(foci, count) + jitter,
+                jitter,
+                foci,
+                [0j],
+            ]
+        )
+        delta = s * 10.0 ** rng.uniform(-6, 3, z0.size)
+        bound = kind.variation(z0, delta)
+        m0 = kind.margins(z0)
+        assert bound.shape == m0.shape == (len(kind), z0.size)
+        for k in range(64):
+            u = np.exp(2j * np.pi * rng.uniform(size=z0.size))
+            # on the circle but for rounding, or inside it
+            radius = 1 - 1e-8 if k % 2 else np.sqrt(rng.uniform(size=z0.size))
+            m = kind.margins(z0 + delta * radius * u)
+            assert np.all(np.abs(m - m0) <= bound)
 
 
 class TestComponentAnalysis:
