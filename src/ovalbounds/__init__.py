@@ -24,7 +24,6 @@ from .matdense import (
     Spectrum,
     SymMatrix,
     cholesky,
-    complex_eig,
     gen_sym_def_eig,
     load_system,
     read_matrix_market,

@@ -134,29 +134,18 @@ def gen_sym_def_eig(K: SymMatrix, M: SymMatrix) -> tuple[np.ndarray, np.ndarray]
     return w2, Phi
 
 
-def complex_eig(A: np.ndarray) -> np.ndarray:
-    """Complex eigenvalues of a general real square matrix.
-
-    Delegates to the dense LAPACK driver; the contract is the residual bound
-    smallest-singular-value(A - lam I) <= rtol * ||A|| checked in tests.
-    Result is sorted by (real, imag) for determinism.
-    """
-    return _eig_sorted(A, right=False)[0]
-
-
-def _eig_sorted(A: np.ndarray, right: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a finite real square matrix sorted by (real, imag), and
-    with ``right`` the right eigenvectors as columns in the same order."""
+    its right eigenvectors as columns in the same order."""
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise InputError("matrix entries must be finite")
     try:
-        out = scipy.linalg.eig(A, right=right)
+        vals, vecs = scipy.linalg.eig(A)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NoConvergence(str(exc)) from exc
-    vals, vecs = out if right else (out, None)
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order], None if vecs is None else vecs[:, order]
+    return vals[order], vecs[:, order]
 
 
 def spectral_norm(S) -> float:

@@ -4,7 +4,9 @@ ovals, the method constructors, and rasterized component analysis.
 Membership predicates are exact (no tolerance).  Each region kind writes
 its signed margin (right side minus left side of its defining inequality,
 positive inside) and its bounding box once, over packed arrays; primitive
-values evaluate through a one-primitive kind.
+values evaluate through a one-primitive kind.  Tracing, rasterization and
+sampled membership settle whole blocks of points with each kind's bound on
+the margin's variation and evaluate margins only where it cannot.
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ RIGOROUS_METHODS: frozenset[Method] = frozenset(
 #: (BRAUER, n = 200) takes one point per chunk, its fastest layout.
 CHUNK_ELEMENTS = 1 << 15
 
-#: Cells per side of the blocks that ``boundary_polyline`` certifies whole.
+#: Cells per side of the grid blocks that ``boundary_polyline`` and
+#: ``component_analysis`` settle whole where a ``variation`` bound allows.
 BLOCK_CELLS = 8
 
 #: A ``variation`` bound's rounding allowance relative to the margin's terms,
@@ -331,6 +334,63 @@ class _DoubleOvals(_Kind):
         return spread + _ROUNDING * (b * (absz + delta) ** 2 + grown)
 
 
+def _block_disks(x0, x1, y0, y1):
+    """Centres z0 and radii delta of the disks about the rectangles
+    [x0, x1] x [y0, y1], one per y range and x range, row-major by y."""
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    hx, hy = np.maximum(cx - x0, x1 - cx), np.maximum(cy - y0, y1 - cy)
+    return (cx[None, :] + 1j * cy[:, None]).ravel(), np.hypot(hx[None, :], hy[:, None]).ravel()
+
+
+def _point_blocks(pts: np.ndarray):
+    """Bin the finite 1-d complex pts into g x g equal blocks over their box,
+    g = floor(cbrt(len pts)), in chunks of CHUNK_ELEMENTS points.  Returns
+    each point's block (row-major by y), the occupied blocks, their centres
+    and the distance from each centre to its farthest point, whose few ulps
+    of rounding the ``variation`` bounds' allowance covers."""
+    g = int(np.cbrt(len(pts)))
+    axes = []
+    for v in (pts.real, pts.imag):
+        vmin, vmax = v.min(), v.max()
+        width = (vmax - vmin) / g
+        if np.finfo(float).tiny <= width < np.inf:
+            axes.append((vmin, 1.0 / width, vmin + (np.arange(g) + 0.5) * width))
+        else:  # one value, or a span too narrow or too wide for floats: one bin
+            mid = 0.5 * vmin + 0.5 * vmax
+            axes.append((mid, 0.0, np.full(g, mid)))
+    (x0, xscale, cx), (y0, yscale, cy) = axes
+    blk = np.empty(len(pts), dtype=np.intp)
+    far = np.full(g * g, -1.0)  # squared distance to the farthest point
+    for lo in range(0, len(pts), CHUNK_ELEMENTS):
+        x, y = pts[lo : lo + CHUNK_ELEMENTS].real, pts[lo : lo + CHUNK_ELEMENTS].imag
+        ix = np.minimum(((x - x0) * xscale).astype(np.intp), g - 1)
+        iy = np.minimum(((y - y0) * yscale).astype(np.intp), g - 1)
+        b = blk[lo : lo + CHUNK_ELEMENTS]
+        np.multiply(iy, g, out=b)
+        b += ix
+        np.maximum.at(far, b, np.square(x - cx[ix]) + np.square(y - cy[iy]))
+    used = np.flatnonzero(far >= 0.0)
+    centre = (cx[None, :] + 1j * cy[:, None]).ravel()
+    return blk, used, centre[used], np.sqrt(far[used])
+
+
+def _certify(kind: _Kind, z0: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """What the kind's ``variation`` bound settles about each primitive on
+    each disk |z - z0| <= delta, as int8 (primitives x disks): 1 where
+    m(z0) > variation, so every point's computed margin is positive; -1
+    where m(z0) < -variation, so every one is negative; 0 where undecided.
+    Evaluated in chunks of about CHUNK_ELEMENTS pairs."""
+    out = np.empty((len(kind), len(z0)), dtype=np.int8)
+    step = max(1, CHUNK_ELEMENTS // len(kind))
+    for lo in range(0, len(z0), step):
+        m = kind.margins(z0[lo : lo + step])
+        bound = kind.variation(z0[lo : lo + step], delta[lo : lo + step])
+        block = out[:, lo : lo + step]
+        block[...] = m > bound
+        block -= m < -bound
+    return out
+
+
 class _View(Sequence):
     """Read-only sequence whose items are built when accessed."""
 
@@ -464,7 +524,32 @@ class RegionUnion:
         return best.reshape(z.shape), index.reshape(z.shape)
 
     def membership_many(self, z: np.ndarray) -> np.ndarray:
-        return self.best_margin(z)[0] >= 0.0
+        """``best_margin(z)[0] >= 0``, settled block by block where it can be.
+
+        The finite points are binned into g x g equal blocks over their box,
+        g the cube root of their count, and each block is taken as the disk
+        about its centre through its farthest point.  A block in which
+        ``_certify`` puts some primitive inside is inside, one where it puts
+        every primitive outside is outside: the largest of its pairs'
+        verdicts is 1 or -1.  The other blocks' points and the non-finite
+        points go through ``best_margin``.
+        """
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        verdict = np.zeros(flat.size, dtype=np.int8)
+        finite = np.isfinite(flat)
+        if finite.any():
+            blk, used, centre, delta = _point_blocks(flat if finite.all() else flat[finite])
+            settled = np.zeros(used[-1] + 1, dtype=np.int8)
+            settled[used] = np.max(
+                [_certify(kind, centre, delta).max(axis=0) for kind in self.primitives.kinds],
+                axis=0,
+            )
+            verdict[finite] = settled[blk]
+        member = verdict == 1
+        direct = np.flatnonzero(verdict == 0)
+        member[direct] = self.best_margin(flat[direct])[0] >= 0.0
+        return member.reshape(z.shape)
 
 
 def _packed(method: Method, kind: _Kind, lo, hi) -> RegionUnion:
@@ -606,17 +691,12 @@ def boundary_polyline(p: RegionPrimitive, resolution: int = 512) -> list[np.ndar
     xs = np.linspace(box.xmin, box.xmax, resolution + 1)
     ys = np.linspace(box.ymin, box.ymax, resolution + 1)
 
-    # each row (column) of blocks: its node indices, clipped at the last node,
-    # its centre and the largest distance from it to a node
+    # each row (column) of blocks: its node indices, clipped at the last node
     B = BLOCK_CELLS
     nodes = np.minimum(np.arange(0, resolution, B)[:, None] + np.arange(B + 1), resolution)
     n0, n1 = nodes[:, 0], nodes[:, -1]
-    cx, cy = 0.5 * (xs[n0] + xs[n1]), 0.5 * (ys[n0] + ys[n1])
-    hx, hy = np.maximum(cx - xs[n0], xs[n1] - cx), np.maximum(cy - ys[n0], ys[n1] - cy)
-    z0 = (cx[None, :] + 1j * cy[:, None]).ravel()
-    delta = np.hypot(hx[None, :], hy[:, None]).ravel()
-    certified = np.abs(kind.margins(z0)[0]) > kind.variation(z0, delta)[0]
-    by, bx = np.divmod(np.flatnonzero(~certified), len(nodes))
+    z0, delta = _block_disks(xs[n0], xs[n1], ys[n0], ys[n1])
+    by, bx = np.divmod(np.flatnonzero(_certify(kind, z0, delta)[0] == 0), len(nodes))
 
     # negated margins at the other blocks' nodes, in batches of blocks
     Gs = np.empty((len(by), B + 1, B + 1))
@@ -748,6 +828,12 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     eigenvalues per component is twice the number of involved modes.
     Degenerate point-set primitives are rasterized as their focus cells; a
     full-measure primitive that covers no cell raises ResolutionTooCoarse.
+
+    A cell is in a primitive's mask where the margin at its centre is
+    nonnegative.  The masks are built in blocks of BLOCK_CELLS x BLOCK_CELLS
+    cells: a block that ``_certify`` puts inside the primitive is filled
+    whole, one it puts outside stays empty, and only the other blocks' cell
+    centres are evaluated.
     """
     if resolution < 32:
         raise InputError("resolution must be at least 32")
@@ -755,46 +841,72 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     nx = ny = resolution
     dx = (box.xmax - box.xmin) / nx
     dy = (box.ymax - box.ymin) / ny
-    cx = box.xmin + (np.arange(nx) + 0.5) * dx
-    cy = box.ymin + (np.arange(ny) + 0.5) * dy
-    Z = cx[None, :] + 1j * cy[:, None]
+    # cell centres over whole blocks; the cells past the grid are cropped
+    B, nb = BLOCK_CELLS, -(-resolution // BLOCK_CELLS)
+    cx = (box.xmin + (np.arange(nb * B) + 0.5) * dx).reshape(nb, B)
+    cy = (box.ymin + (np.arange(nb * B) + 0.5) * dy).reshape(nb, B)
+    z0, delta = _block_disks(cx[:, 0], cx[:, -1], cy[:, 0], cy[:, -1])
 
-    masks = []
-    for k, p in enumerate(u.primitives):
-        if p.is_degenerate:
-            m = np.zeros((ny, nx), dtype=bool)
-            for f in p.foci:
-                jx = min(max(int((f.real - box.xmin) / dx), 0), nx - 1)
-                jy = min(max(int((f.imag - box.ymin) / dy), 0), ny - 1)
-                m[jy, jx] = True
-        else:
-            m = p.margin(Z) >= 0.0
-            if not m.any():
-                raise ResolutionTooCoarse(
-                    f"primitive {k} of {u.method.value} covers no cell at resolution {resolution}"
-                )
-        masks.append(m)
+    # The union over the grid padded to whole blocks, viewed as (block row,
+    # cell row, block column, cell column), and each primitive's blocks
+    # filled whole and other blocks with their cells inside it.
+    padded = np.zeros((nb * B, nb * B), dtype=bool)
+    blocks = padded.reshape(nb, B, nb, B)
+    owned = [None] * len(u.primitives)
+    whole = np.zeros(nb * nb, dtype=bool)
+    for kind in u.primitives.kinds:
+        settled = _certify(kind, z0, delta)
+        whole |= (settled == 1).any(axis=0)
+        for i, k in enumerate(kind.pos.tolist()):
+            p = kind.item(i)
+            if p.is_degenerate:
+                jx = np.array([min(max(int((f.real - box.xmin) / dx), 0), nx - 1) for f in p.foci])
+                jy = np.array([min(max(int((f.imag - box.ymin) / dy), 0), ny - 1) for f in p.foci])
+                padded[jy, jx] = True
+                by, bx = jy // B, jx // B
+                inside = np.zeros((len(jy), B, B), dtype=bool)
+                inside[np.arange(len(jy)), jy % B, jx % B] = True
+            else:
+                by, bx = np.divmod(np.flatnonzero(settled[i] == 0), nb)
+                inside = p.margin(cx[bx][:, None, :] + 1j * cy[by][:, :, None]) >= 0.0
+                blocks[by, :, bx, :] |= inside
+            fy, fx = np.divmod(np.flatnonzero(settled[i] == 1), nb)
+            owned[k] = (fy, fx, by, bx, inside)
+    # cells past the grid lie outside the padded box, so no primitive holds them
+    blocks |= whole.reshape(nb, 1, nb, 1)
 
-    union_mask = np.zeros((ny, nx), dtype=bool)
-    for m in masks:
-        union_mask |= m
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    raw_labels, count = scipy.ndimage.label(union_mask, structure=structure)
+    raw_labels, count = scipy.ndimage.label(padded, structure=structure)
 
-    # canonical order: by smallest flat cell index
-    firsts = scipy.ndimage.minimum(
-        np.arange(union_mask.size).reshape(ny, nx),
-        raw_labels,
-        index=range(1, count + 1),
-    )
-    order = np.argsort(np.atleast_1d(firsts))
+    # canonical order: by smallest flat cell index, the first one in the top
+    # row of each label's bounding slices
+    firsts = [
+        rows.start * nb * B + cols.start + int(np.argmax(raw_labels[rows.start, cols] == label))
+        for label, (rows, cols) in enumerate(scipy.ndimage.find_objects(raw_labels), start=1)
+    ]
+    order = np.argsort(np.array(firsts, dtype=int))
     remap = np.zeros(count + 1, dtype=int)
     remap[order + 1] = np.arange(1, count + 1)
     labels = remap[raw_labels]
     cells = np.bincount(labels.ravel(), minlength=count + 1)
 
-    # cells of each primitive per component label
-    hits = np.stack([np.bincount(labels[m], minlength=count + 1) for m in masks])
+    # cells of each primitive per component label, one standing for each
+    # block filled whole, whose cells are connected
+    at = labels.reshape(nb, B, nb, B)
+    hits = np.stack(
+        [
+            np.bincount(
+                np.concatenate((at[fy, 0, fx, 0], at[by, :, bx, :][inside])), minlength=count + 1
+            )
+            for fy, fx, by, bx, inside in owned
+        ]
+    )
+    empty = np.flatnonzero(~hits[:, 1:].any(axis=1))
+    if len(empty):
+        raise ResolutionTooCoarse(
+            f"primitive {empty[0]} of {u.method.value} covers no cell at resolution {resolution}"
+        )
+    labels = np.ascontiguousarray(labels[:ny, :nx])
     components = []
     for i in range(count):
         prim_idx = tuple(np.flatnonzero(hits[:, i + 1]).tolist())

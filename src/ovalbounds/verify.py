@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matdense import Spectrum, _eig_sorted, _readonly, complex_eig
+from .matdense import Spectrum, _eig_sorted, _readonly
 from .modal import ModalForm
 from .regions import RegionUnion
 
@@ -14,24 +14,11 @@ from .regions import RegionUnion
 BOUNDARY_TOL = 1e-9
 
 
-def linearize(form: ModalForm, layout: str = "block") -> np.ndarray:
-    """Build the 2n x 2n companion matrix.
-
-    ``block`` is [[0, W], [-W, -D]] with W = diag(omega); ``shuffled``
-    interleaves the coordinates so each mode owns a 2x2 diagonal block
-    [[0, w_j], [-w_j, -d_jj]] with couplings only through damping entries.
-    The two layouts are permutation similar.
-    """
-    if layout not in ("block", "shuffled"):
-        raise ValueError(f"unknown layout {layout!r}")
+def linearize(form: ModalForm) -> np.ndarray:
+    """The 2n x 2n companion matrix [[0, W], [-W, -D]] with W = diag(omega)."""
     n = form.order
     W = np.diag(form.omega)
-    A = np.block([[np.zeros((n, n)), W], [-W, -form.D.array]])
-    if layout == "shuffled":
-        # coordinate 2i is block coordinate i, 2i + 1 is n + i
-        p = np.arange(2 * n).reshape(2, n).T.ravel()
-        A = A[p][:, p]
-    return A
+    return np.block([[np.zeros((n, n)), W], [-W, -form.D.array]])
 
 
 def qep_residuals(form: ModalForm, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -54,7 +41,7 @@ def true_spectrum(form: ModalForm) -> Spectrum:
     ||Q(lam) x|| / ||x||, an upper bound on the smallest singular value of
     Q(lam).
     """
-    values, vectors = _eig_sorted(linearize(form, "block"), right=True)
+    values, vectors = _eig_sorted(linearize(form))
     return Spectrum(values, qep_residuals(form, values, vectors[form.order :]))
 
 
@@ -130,10 +117,3 @@ def compare_regions(
         subset_violations=int(np.sum(in1 & ~in2)),
         samples=samples,
     )
-
-
-def layout_eigenvalue_gap(form: ModalForm) -> float:
-    """Largest matched-pair distance between block and shuffled eigenvalues."""
-    a = complex_eig(linearize(form, "block"))
-    b = complex_eig(linearize(form, "shuffled"))
-    return float(np.max(np.abs(a - b))) if len(a) else 0.0

@@ -1,15 +1,17 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from ovalbounds import regions
 from ovalbounds.errors import CriticalModePresent, InputError, ResolutionTooCoarse
 from ovalbounds.matdense import SymMatrix, spectral_norm
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, quadratic_roots, to_modal
-from ovalbounds.verify import true_spectrum
+from ovalbounds.verify import RegionComparison, compare_regions, true_spectrum
 from ovalbounds.regions import (
     RIGOROUS_METHODS,
     Disk,
@@ -780,7 +782,194 @@ class TestVariation:
             assert np.all(np.abs(m - m0) <= bound)
 
 
+def full_grid_components(u, resolution):
+    """Component analysis over the full grid of cell centres, one margin
+    per primitive and cell, which the certified blocks replaced: the
+    reference for labels and components."""
+    box = u.bounding_box().padded(0.02)
+    n = resolution
+    dx, dy = (box.xmax - box.xmin) / n, (box.ymax - box.ymin) / n
+    cx = box.xmin + (np.arange(n) + 0.5) * dx
+    cy = box.ymin + (np.arange(n) + 0.5) * dy
+    masks = []
+    for k, p in enumerate(u.primitives):
+        if p.is_degenerate:
+            m = np.zeros((n, n), dtype=bool)
+            for f in p.foci:
+                jx = min(max(int((f.real - box.xmin) / dx), 0), n - 1)
+                jy = min(max(int((f.imag - box.ymin) / dy), 0), n - 1)
+                m[jy, jx] = True
+        else:
+            m = p.margin(cx[None, :] + 1j * cy[:, None]) >= 0.0
+            if not m.any():
+                raise ResolutionTooCoarse(
+                    f"primitive {k} of {u.method.value} covers no cell at resolution {resolution}"
+                )
+        masks.append(m)
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    raw, count = scipy.ndimage.label(np.any(masks, axis=0), structure=structure)
+    firsts = scipy.ndimage.minimum(np.arange(n * n).reshape(n, n), raw, index=range(1, count + 1))
+    remap = np.zeros(count + 1, dtype=int)
+    remap[np.argsort(np.atleast_1d(firsts)) + 1] = np.arange(1, count + 1)
+    labels = remap[raw]
+    cells = np.bincount(labels.ravel(), minlength=count + 1)
+    components = []
+    for i in range(count):
+        prims = tuple(k for k, m in enumerate(masks) if np.any(labels[m] == i + 1))
+        modes = tuple(sorted({j for k in prims for j in u.mode_labels[k]}))
+        components.append(regions.Component(i, modes, prims, int(cells[i + 1])))
+    return tuple(components), labels
+
+
+def all_unions(n, seed):
+    """The union of every method that builds for random_system(n, seed),
+    and a mixed one: the bare foci of its MODAL_OVAL_NORM ovals with its
+    MODAL_DISK_ROWSUM disks."""
+    form = to_modal(random_system(n, seed))
+    unions = []
+    for method in Method:
+        try:
+            unions.append(build_regions(*pipeline_of(form), method))
+        except CriticalModePresent:
+            continue
+    by_method = {u.method: u for u in unions}
+    ovals, disks = by_method[Method.MODAL_OVAL_NORM], by_method.get(Method.MODAL_DISK_ROWSUM)
+    prims = [dataclasses.replace(p, r=0.0) for p in ovals.primitives]
+    labels = list(ovals.mode_labels)
+    if disks is not None:
+        prims += disks.primitives
+        labels += disks.mode_labels
+    unions.append(RegionUnion(Method.MODAL_OVAL_NORM, prims, labels))
+    return unions
+
+
+SYSTEMS = [(1, 0), (3, 2), (6, 4), (12, 1)]
+
+
+def direct_comparison(u1, u2, samples, seed=0):
+    """compare_regions with each sample's membership from its best margin."""
+    box = u1.bounding_box().merge(u2.bounding_box())
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(box.xmin, box.xmax, samples) + 1j * rng.uniform(box.ymin, box.ymax, samples)
+    in1, in2 = (u.best_margin(z)[0] >= 0.0 for u in (u1, u2))
+    area = (box.xmax - box.xmin) * (box.ymax - box.ymin)
+    return RegionComparison(
+        float(np.mean(in1)) * area, float(np.mean(in2)) * area, int(np.sum(in1 & ~in2)), samples
+    )
+
+
+def assert_membership(u, z):
+    got = u.membership_many(z)
+    assert got.shape == np.shape(z)
+    assert np.array_equal(got, u.best_margin(z)[0] >= 0.0)
+
+
+class TestMembership:
+    @pytest.mark.parametrize("n,seed", SYSTEMS)
+    def test_equals_the_best_margin_sign(self, n, seed):
+        rng = np.random.default_rng(seed)
+        bad = np.array([np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(1.0, np.inf)])
+        for u in all_unions(n, seed):
+            box = u.bounding_box().padded(0.1)
+            z = rng.uniform(box.xmin, box.xmax, 5000) + 1j * rng.uniform(box.ymin, box.ymax, 5000)
+            for points in (
+                np.empty(0, dtype=complex),
+                z[:1],
+                z,
+                z.reshape(50, 100),
+                np.concatenate((z, 1e6 * z[:50], 1e300 * z[:50])),
+                np.concatenate((z, np.resize(bad, 500))),
+                bad,
+            ):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert_membership(u, points)
+
+    def test_points_on_disk_boundaries(self):
+        u = RegionUnion(
+            Method.UNDAMPED_DISK_NORM,
+            (Disk(0j, 1.0), Disk(-3.0 + 0j, 0.25), Disk(3.0 + 0j, 0.5)),
+            ((0,), (1,), (2,)),
+        )
+        edge = np.array([1.0, -1.0, 1j, -1j, -2.75, -3.25, 3.5, 2.5, 3.0 + 0.5j, 3.0 - 0.5j])
+        assert np.all(u.best_margin(edge)[0] == 0.0)
+        rng = np.random.default_rng(0)
+        z = np.concatenate((edge, rng.uniform(-4, 4, 20000) + 1j * rng.uniform(-2, 2, 20000)))
+        assert_membership(u, z)
+        assert u.membership_many(z)[: len(edge)].all()
+
+    def test_one_value_and_spans_at_the_float_limits(self):
+        u, _ = system_union(3, Method.MODAL_OVAL_NORM, seed=2)
+        f = u.primitives[0].focus_plus
+        for z in (
+            np.full(1000, f),
+            np.full(1000, 0.3 + 0.2j),
+            5e-324 * np.arange(1000) + 0j,
+            1e-300 * np.arange(1000) * (1 + 1j),
+            np.array([-1.7e308, 1.7e308, 1.7e308j, -1.7e308j, f] * 200),
+        ):
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert_membership(u, z)
+
+    def test_margins_only_in_a_narrow_band(self, monkeypatch):
+        union, _ = system_union(12, Method.MODAL_OVAL_ROWSUM, seed=1)
+        box = union.bounding_box()
+        rng = np.random.default_rng(0)
+        z = rng.uniform(box.xmin, box.xmax, 200_000) + 1j * rng.uniform(box.ymin, box.ymax, 200_000)
+        evaluated = []
+        margins = regions._Ovals.margins
+        monkeypatch.setattr(
+            regions._Ovals, "margins", lambda kind, z: evaluated.append(z.size) or margins(kind, z)
+        )
+        assert union.membership_many(z).any()
+        assert sum(evaluated) < 0.15 * z.size
+
+    @pytest.mark.parametrize("n,seed", SYSTEMS)
+    def test_compare_regions_equals_a_direct_evaluation(self, n, seed):
+        unions = all_unions(n, seed)
+        for u1, u2 in zip(unions, unions[1:] + unions[:1]):
+            assert compare_regions(u1, u2) == direct_comparison(u1, u2, 200_000)
+
+
 class TestComponentAnalysis:
+    @pytest.mark.parametrize("resolution", [32, 33, 64, 512])
+    @pytest.mark.parametrize("n,seed", SYSTEMS)
+    def test_equals_the_full_grid(self, n, seed, resolution):
+        for u in all_unions(n, seed):
+            try:
+                components, labels = full_grid_components(u, resolution)
+            except ResolutionTooCoarse as exc:
+                with pytest.raises(ResolutionTooCoarse, match=re.escape(str(exc))):
+                    component_analysis(u, resolution)
+                continue
+            ca = component_analysis(u, resolution)
+            assert ca.components == components
+            assert ca.labels.dtype == labels.dtype
+            assert np.array_equal(ca.labels, labels)
+
+    def test_margins_only_in_a_narrow_band(self, monkeypatch):
+        union, _ = system_union(12, Method.MODAL_OVAL_NORM, seed=1)
+        evaluated = []
+        margins = regions._Ovals.margins
+        monkeypatch.setattr(
+            regions._Ovals, "margins", lambda kind, z: evaluated.append(len(kind) * z.size) or margins(kind, z)
+        )
+        component_analysis(union, 512)
+        assert sum(evaluated) < 0.15 * 12 * 512**2
+
+    def test_temporaries_stay_small(self):
+        # At the full-grid rasterization the peak was 16.1 MB (a complex grid
+        # of the cell centres, a margin grid and one mask per primitive); the
+        # certified blocks peak at 3.8 to 4.6 MB on these unions.
+        for seed in (0, 1, 3):
+            union, _ = system_union(12, Method.MODAL_OVAL_NORM, seed=seed)
+            tracemalloc.start()
+            try:
+                component_analysis(union, 512)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6e6
+
     def test_two_disjoint_disks(self):
         u = RegionUnion(
             Method.UNDAMPED_DISK_NORM,
