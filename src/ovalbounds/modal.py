@@ -19,6 +19,7 @@ from .matdense import (
     RTOL,
     DampedSystem,
     SymMatrix,
+    _check_positive_definite,
     _readonly,
     gen_sym_def_eig,
     spectral_norm,
@@ -247,7 +248,7 @@ def proportional_fit(form: ModalForm, W: SymMatrix | None = None) -> Proportiona
     n = form.order
     Wa = np.eye(n) if W is None else W.array
     if W is not None:
-        np.linalg.cholesky(Wa)  # weight must be positive definite
+        _check_positive_definite(Wa, "W")
     D = form.D.array
     Om = np.diag(form.omega**2)
     a11 = np.trace(Wa)

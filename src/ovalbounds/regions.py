@@ -171,6 +171,14 @@ BLOCK_CELLS = 8
 _ROUNDING = 256 * np.finfo(float).eps
 
 
+def _quiet() -> np.errstate:
+    """Margins at nan, infinite or huge points (|z| beyond about 1e154) come
+    out nan or -inf through inf - inf and overflow; such points are outside
+    every primitive, which is the right answer, so the kinds' evaluations
+    run with these warnings off."""
+    return np.errstate(invalid="ignore", over="ignore")
+
+
 class _Kind:
     """The primitives of one kind in a union, stored as arrays.
 
@@ -194,12 +202,13 @@ class _Kind:
         best = np.empty(len(z))
         index = np.empty(len(z), dtype=int)
         step = max(1, CHUNK_ELEMENTS // len(self.pos))
-        for lo in range(0, len(z), step):
-            zc = z[lo : lo + step]
-            m = self.margins(zc)
-            k = np.argmax(m, axis=0)
-            best[lo : lo + step] = np.take_along_axis(m, k[None, :], axis=0)[0]
-            index[lo : lo + step] = self.pos[k]
+        with _quiet():
+            for lo in range(0, len(z), step):
+                zc = z[lo : lo + step]
+                m = self.margins(zc)
+                k = np.argmax(m, axis=0)
+                best[lo : lo + step] = np.take_along_axis(m, k[None, :], axis=0)[0]
+                index[lo : lo + step] = self.pos[k]
         return best, index
 
 
@@ -382,12 +391,49 @@ def _certify(kind: _Kind, z0: np.ndarray, delta: np.ndarray) -> np.ndarray:
     Evaluated in chunks of about CHUNK_ELEMENTS pairs."""
     out = np.empty((len(kind), len(z0)), dtype=np.int8)
     step = max(1, CHUNK_ELEMENTS // len(kind))
-    for lo in range(0, len(z0), step):
-        m = kind.margins(z0[lo : lo + step])
-        bound = kind.variation(z0[lo : lo + step], delta[lo : lo + step])
-        block = out[:, lo : lo + step]
-        block[...] = m > bound
-        block -= m < -bound
+    with _quiet():
+        for lo in range(0, len(z0), step):
+            m = kind.margins(z0[lo : lo + step])
+            bound = kind.variation(z0[lo : lo + step], delta[lo : lo + step])
+            block = out[:, lo : lo + step]
+            block[...] = m > bound
+            block -= m < -bound
+    return out
+
+
+def _memberships(unions, z) -> list[np.ndarray]:
+    """``u.best_margin(z)[0] >= 0`` for each union u, settled block by block
+    where it can be.
+
+    The finite points are binned once, into g x g equal blocks over their
+    box, g the cube root of their count, and each block is taken as the disk
+    about its centre through its farthest point.  For each union, a block in
+    which ``_certify`` puts some primitive inside is inside, one where it
+    puts every primitive outside is outside: the largest of its pairs'
+    verdicts is 1 or -1.  The other blocks' points and the non-finite points
+    go through the union's ``best_margin``.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    finite = np.isfinite(flat)
+    binned = finite.any()
+    if binned:
+        with _quiet():
+            blk, used, centre, delta = _point_blocks(flat if finite.all() else flat[finite])
+    out = []
+    for u in unions:
+        verdict = np.zeros(flat.size, dtype=np.int8)
+        if binned:
+            settled = np.zeros(used[-1] + 1, dtype=np.int8)
+            settled[used] = np.max(
+                [_certify(kind, centre, delta).max(axis=0) for kind in u.primitives.kinds],
+                axis=0,
+            )
+            verdict[finite] = settled[blk]
+        member = verdict == 1
+        direct = np.flatnonzero(verdict == 0)
+        member[direct] = u.best_margin(flat[direct])[0] >= 0.0
+        out.append(member.reshape(z.shape))
     return out
 
 
@@ -524,32 +570,9 @@ class RegionUnion:
         return best.reshape(z.shape), index.reshape(z.shape)
 
     def membership_many(self, z: np.ndarray) -> np.ndarray:
-        """``best_margin(z)[0] >= 0``, settled block by block where it can be.
-
-        The finite points are binned into g x g equal blocks over their box,
-        g the cube root of their count, and each block is taken as the disk
-        about its centre through its farthest point.  A block in which
-        ``_certify`` puts some primitive inside is inside, one where it puts
-        every primitive outside is outside: the largest of its pairs'
-        verdicts is 1 or -1.  The other blocks' points and the non-finite
-        points go through ``best_margin``.
-        """
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        verdict = np.zeros(flat.size, dtype=np.int8)
-        finite = np.isfinite(flat)
-        if finite.any():
-            blk, used, centre, delta = _point_blocks(flat if finite.all() else flat[finite])
-            settled = np.zeros(used[-1] + 1, dtype=np.int8)
-            settled[used] = np.max(
-                [_certify(kind, centre, delta).max(axis=0) for kind in self.primitives.kinds],
-                axis=0,
-            )
-            verdict[finite] = settled[blk]
-        member = verdict == 1
-        direct = np.flatnonzero(verdict == 0)
-        member[direct] = self.best_margin(flat[direct])[0] >= 0.0
-        return member.reshape(z.shape)
+        """``best_margin(z)[0] >= 0``, settled block by block where it can
+        be (see ``_memberships``)."""
+        return _memberships((self,), z)[0]
 
 
 def _packed(method: Method, kind: _Kind, lo, hi) -> RegionUnion:

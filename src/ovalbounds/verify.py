@@ -8,7 +8,7 @@ import numpy as np
 
 from .matdense import Spectrum, _eig_sorted, _readonly
 from .modal import ModalForm
-from .regions import RegionUnion
+from .regions import RegionUnion, _memberships
 
 #: Eigenvalues within this normalized distance of a boundary count as inside.
 BOUNDARY_TOL = 1e-9
@@ -101,15 +101,15 @@ def compare_regions(
 
     Areas are box-area times hit fraction; subset_violations counts sampled
     points inside u1 but outside u2 (testing u1 contained in u2), with
-    membership evaluated exactly.
+    membership evaluated exactly; the samples are binned once for both
+    unions.
     """
     box = u1.bounding_box().merge(u2.bounding_box())
     rng = np.random.default_rng(seed)
     xs = rng.uniform(box.xmin, box.xmax, samples)
     ys = rng.uniform(box.ymin, box.ymax, samples)
     z = xs + 1j * ys
-    in1 = u1.membership_many(z)
-    in2 = u2.membership_many(z)
+    in1, in2 = _memberships((u1, u2), z)
     box_area = (box.xmax - box.xmin) * (box.ymax - box.ymin)
     return RegionComparison(
         area_first=float(np.mean(in1)) * box_area,

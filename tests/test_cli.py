@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -448,6 +449,25 @@ class TestErrorPaths:
         path.write_text('{"n": 2, "M": [1, 2, 2, 1], "C": [0, 0, 0, 0], "K": [1, 0, 0, 1]}')
         assert cli.main(["analyze", "--input", str(path)]) == 2
         assert "M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "K,pivot",
+        [([2, 3, 0, 3, 2, 0, 0, 0, 1], -2.5), ([1e286, 1e300, 0, 1e300, 1e300, 0, 0, 0, 1], None)],
+    )
+    def test_overdamped_names_the_failing_pivot_of_k(self, tmp_path, capsys, K, pivot):
+        path = tmp_path / "bad.json"
+        doc = {"n": 3, "M": [1, 0, 0, 0, 1, 0, 0, 0, 1], "C": [0] * 9, "K": K}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["overdamped", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        match = re.fullmatch(
+            r"error: matrix K is not positive definite: pivot (-\d\.\d{3}e[+-]\d+) at index 1\n",
+            captured.err,
+        )
+        assert match
+        if pivot is not None:
+            assert float(match[1]) == pivot
 
     @pytest.mark.parametrize(
         "doc",

@@ -7,7 +7,9 @@ from ovalbounds.errors import InputError, NotPositiveDefinite
 from ovalbounds.matdense import (
     DampedSystem,
     SymMatrix,
+    _check_positive_definite,
     _eig_sorted,
+    _pivot_floor,
     cholesky,
     gen_sym_def_eig,
     load_system,
@@ -67,6 +69,85 @@ class TestCholesky:
             L = cholesky(S)
             scale = np.max(np.abs(S.array))
             assert np.max(np.abs(L @ L.T - S.array)) <= 1e-10 * scale
+
+
+def loop_pivots(A):
+    """The pivots ``cholesky`` takes, up to and including a failing one."""
+    try:
+        return np.diag(cholesky(A)) ** 2
+    except NotPositiveDefinite as err:
+        j = err.index
+        return np.append(np.diag(cholesky(A[:j, :j])) ** 2, err.pivot)
+
+
+def rejection(check, A):
+    try:
+        check(A, "S")
+    except NotPositiveDefinite as err:
+        return err
+    return None
+
+
+class TestCheckPositiveDefinite:
+    def test_parity_with_cholesky(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 40),
+            st.floats(-150.0, 150.0),
+            st.sampled_from(["spd", "indefinite", "rank-deficient"]),
+            st.integers(0, 2**32 - 1),
+        )
+        def check(n, exponent, kind, seed):
+            rng = np.random.default_rng(seed)
+            d = rng.uniform(0.1, 1.0, n)
+            if kind == "indefinite":
+                d[: rng.integers(1, n + 1)] *= -1.0
+            elif kind == "rank-deficient":
+                d[: rng.integers(1, n + 1)] = 0.0
+            rng.shuffle(d)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            if kind == "rank-deficient":
+                Q = np.where(d == 0.0, 0.0, 1.0)[:, None] * Q  # zero rows and columns
+            A = (Q * d) @ Q.T * 10.0**exponent
+            A = 0.5 * (A + A.T)
+            # leave out pivots within a few ulps of the terms they are taken from
+            p = loop_pivots(A)
+            diag = np.diag(A)[: len(p)]
+            floor = _pivot_floor(A)
+            hypothesis.assume(
+                np.all(np.abs(p - floor) > 64 * np.finfo(float).eps * (diag + np.abs(diag - p)))
+            )
+            old = rejection(cholesky, A)
+            new = rejection(_check_positive_definite, A)
+            assert (old is None) == (new is None)
+            if old is not None:
+                assert (new.name, new.index) == (old.name, old.index) == ("S", len(p) - 1)
+                assert np.isfinite(new.pivot) and new.pivot <= floor
+
+        check()
+
+    def test_pivot_from_the_partial_factor(self):
+        S = SymMatrix([[4.0, 2.0, 0.0], [2.0, 5.0, 4.0], [0.0, 4.0, 3.0]])
+        with pytest.raises(NotPositiveDefinite) as err:
+            _check_positive_definite(S, "K")
+        assert (err.value.name, err.value.index, err.value.pivot) == ("K", 2, -1.0)
+
+    def test_pivot_at_the_floor(self):
+        floor = _pivot_floor(np.eye(2))
+        with pytest.raises(NotPositiveDefinite) as err:
+            _check_positive_definite(np.diag([1.0, floor]), "M")
+        assert (err.value.index, err.value.pivot) == (1, floor)
+        _check_positive_definite(np.diag([1.0, 2.0 * floor]), "M")
+
+    def test_overflowing_pivot_is_finite(self):
+        # L[1, 0] = 1e300 / 1e143 squares to inf, so the pivot is -inf
+        S = SymMatrix([[1e286, 1e300], [1e300, 1e300]])
+        with pytest.raises(NotPositiveDefinite) as err:
+            _check_positive_definite(S, "K")
+        assert (err.value.index, err.value.pivot) == (1, -np.finfo(float).max)
 
 
 class TestSymEig:

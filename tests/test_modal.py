@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovalbounds.errors import SingularFit
+from ovalbounds.errors import NotPositiveDefinite, SingularFit
 from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm
 from ovalbounds.modal import (
     ModalForm,
@@ -256,6 +256,13 @@ class TestProportionalFit:
         base = objective(fit.alpha, fit.beta)
         for da, db in ((1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6)):
             assert objective(fit.alpha + da, fit.beta + db) >= base - 1e-12
+
+    def test_weight_not_positive_definite(self):
+        omega = np.array([1.0, 2.0, 3.0])
+        W = SymMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite) as err:
+            proportional_fit(form_from(omega, np.eye(3)), W)
+        assert (err.value.name, err.value.index, err.value.pivot) == ("W", 2, -3.0)
 
     def test_residual_dominates_diagonal_split_frobenius(self):
         for seed in range(40):
