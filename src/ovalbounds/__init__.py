@@ -69,6 +69,7 @@ from .regions import (
     QuasiOval,
     RegionUnion,
     boundary_polyline,
+    boundary_polylines,
     build_regions,
     component_analysis,
 )

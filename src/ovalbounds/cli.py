@@ -43,7 +43,7 @@ from .regions import (
     Method,
     QuasiOval,
     RegionUnion,
-    boundary_polyline,
+    boundary_polylines,
     build_regions,
 )
 from .verify import check_inclusion, true_spectrum
@@ -157,7 +157,7 @@ def emit_svg(
     for ui, u in enumerate(unions):
         color = PALETTE[ui % len(PALETTE)]
         style = f'fill="none" stroke="{color}" stroke-width="{_f6(stroke)}"'
-        for p in u.primitives:
+        for p, loops in zip(u.primitives, boundary_polylines(u, resolution)):
             if p.is_degenerate:
                 for focus in p.foci:
                     lines.append(
@@ -165,7 +165,7 @@ def emit_svg(
                         f'r="{_f6(1.2 * stroke)}" fill="{color}"/>'
                     )
                 continue
-            for loop in boundary_polyline(p, resolution):
+            for loop in loops:
                 lines.append(f'<path d="{_svg_path(loop)}" {style}/>')
     if spectrum is not None:
         arm = 0.012 * max(w, h)

@@ -87,8 +87,10 @@ def _as_array(S) -> np.ndarray:
 
 
 def _pivot_floor(A: np.ndarray) -> float:
-    """Largest pivot that counts as not positive: ``n * eps * max(max|A|, 1)``."""
-    scale = max(np.max(np.abs(A)), 1.0) if A.size else 1.0
+    """Largest pivot that counts as not positive: ``n * eps * max|A|``.  It
+    scales with A, so A and sA get the same verdict; a zero matrix has a
+    zero floor and still fails at its first pivot."""
+    scale = np.max(np.abs(A)) if A.size else 0.0
     return A.shape[0] * np.finfo(float).eps * scale
 
 
@@ -120,7 +122,7 @@ def cholesky(S: SymMatrix, name: str = "matrix") -> np.ndarray:
     """Lower-triangular L with L @ L.T == S, by a Python loop over columns.
 
     Raises :class:`NotPositiveDefinite` with the offending pivot index when a
-    pivot drops to ``n * eps * max(max|S|, 1)`` or below.  Only the modal
+    pivot drops to ``n * eps * max|S|`` or below.  Only the modal
     reduction (:func:`gen_sym_def_eig`, behind ``modal.to_modal``) uses this
     factor: the modal form's last bits still decide ``verify`` verdicts that
     rounding can flip, so the loop stays until the audit allows for the

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularFit
+from .errors import InputError, SingularFit
 from .matdense import (
     RTOL,
     DampedSystem,
@@ -248,6 +248,8 @@ def proportional_fit(form: ModalForm, W: SymMatrix | None = None) -> Proportiona
     n = form.order
     Wa = np.eye(n) if W is None else W.array
     if W is not None:
+        if Wa.shape != (n, n):
+            raise InputError(f"weight W has order {Wa.shape[0]}, the modal form {n}")
         _check_positive_definite(Wa, "W")
     D = form.D.array
     Om = np.diag(form.omega**2)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .errors import CriticalModePresent, InputError, ResolutionTooCoarse
 from .matdense import spectral_norm
@@ -162,9 +164,12 @@ RIGOROUS_METHODS: frozenset[Method] = frozenset(
 #: (BRAUER, n = 200) takes one point per chunk, its fastest layout.
 CHUNK_ELEMENTS = 1 << 15
 
-#: Cells per side of the grid blocks that ``boundary_polyline`` and
-#: ``component_analysis`` settle whole where a ``variation`` bound allows.
-BLOCK_CELLS = 8
+#: Cells per side of the smallest grid blocks, the leaves, of the
+#: coarse-to-fine descent by which ``boundary_polylines`` and
+#: ``component_analysis`` settle blocks whole where a ``variation`` bound
+#: allows.  At 4 the figure unions trace fastest: 8 evaluates a wider band,
+#: 2 spends more on certifying than it saves.
+BLOCK_CELLS = 4
 
 #: A ``variation`` bound's rounding allowance relative to the margin's terms,
 #: well above the few ulps of each of the two margins and of the bound.
@@ -179,6 +184,14 @@ def _quiet() -> np.errstate:
     return np.errstate(invalid="ignore", over="ignore")
 
 
+def _cols(rows, *arrays):
+    """A kind's parameter arrays as columns against a 1-d array of points,
+    or with ``rows`` gathered one per point."""
+    if rows is None:
+        return [a[:, None] for a in arrays]
+    return [a[rows] for a in arrays]
+
+
 class _Kind:
     """The primitives of one kind in a union, stored as arrays.
 
@@ -188,9 +201,13 @@ class _Kind:
     xmax, ymin, ymax) arrays of the primitives' bounding boxes, and
     ``variation(z0, delta)``, a (primitives x points) bound on |m(z) - m(z0)|
     over |z - z0| <= delta, plus an allowance for rounding in both computed
-    margins, at 1-d z0 and delta.  ``item(i)``
-    gives its i-th primitive as a dataclass value, which evaluates through
-    a one-primitive kind.
+    margins, at 1-d z0 and delta.  Given ``rows``, an index array that
+    broadcasts against the points, ``margins(z, rows)`` and ``variation(z0,
+    delta, rows)`` evaluate pairs instead: primitive rows[k] at the points
+    z[k], with the same operations in the same order, so each pair's value
+    is its entry in the (primitives x points) table bit for bit.
+    ``item(i)`` gives its i-th primitive as a dataclass value, which
+    evaluates through a one-primitive kind.
     """
 
     def __len__(self) -> int:
@@ -231,16 +248,18 @@ class _Disks(_Kind):
     def item(self, i) -> Disk:
         return Disk(complex(self.center[i]), float(self.radius[i]))
 
-    def margins(self, z):
-        return self.radius[:, None] - np.abs(z - self.center[:, None])
+    def margins(self, z, rows=None):
+        center, radius = _cols(rows, self.center, self.radius)
+        return radius - np.abs(z - center)
 
     def boxes(self):
         x, y, r = self.center.real, self.center.imag, self.radius
         return x - r, x + r, y - r, y + r
 
-    def variation(self, z0, delta):
-        dist = np.abs(z0 - self.center[:, None])
-        return delta + _ROUNDING * (self.radius[:, None] + dist + delta)
+    def variation(self, z0, delta, rows=None):
+        center, radius = _cols(rows, self.center, self.radius)
+        dist = np.abs(z0 - center)
+        return delta + _ROUNDING * (radius + dist + delta)
 
 
 class _Ovals(_Kind):
@@ -266,11 +285,12 @@ class _Ovals(_Kind):
             complex(self.plus[i]), complex(self.minus[i]), float(self.r[i]), float(self.q[i])
         )
 
-    def margins(self, z):
-        prod = np.abs(z - self.plus[:, None])
-        prod *= np.abs(z - self.minus[:, None])
-        m = np.abs(z) * self.r[:, None]
-        m += self.q[:, None]
+    def margins(self, z, rows=None):
+        plus, minus, r, q = _cols(rows, self.plus, self.minus, self.r, self.q)
+        prod = np.abs(z - plus)
+        prod *= np.abs(z - minus)
+        m = np.abs(z) * r
+        m += q
         m -= prod
         return m
 
@@ -281,11 +301,10 @@ class _Ovals(_Kind):
         R = 0.5 * (f + np.sqrt(np.maximum(disc, 0.0)))
         return -R, R, -R, R
 
-    def variation(self, z0, delta):
-        dplus = np.abs(z0 - self.plus[:, None])
-        dminus = np.abs(z0 - self.minus[:, None])
-        r = self.r[:, None]
-        terms = (np.abs(z0) + delta) * r + self.q[:, None] + (dplus + delta) * (dminus + delta)
+    def variation(self, z0, delta, rows=None):
+        plus, minus, r, q = _cols(rows, self.plus, self.minus, self.r, self.q)
+        dplus, dminus = np.abs(z0 - plus), np.abs(z0 - minus)
+        terms = (np.abs(z0) + delta) * r + q + (dplus + delta) * (dminus + delta)
         return delta * (r + dplus + dminus + delta) + _ROUNDING * terms
 
 
@@ -313,14 +332,28 @@ class _DoubleOvals(_Kind):
         foci = (self.plus[a], self.minus[a], self.plus[b], self.minus[b])
         return DoubleOval(tuple(map(complex, foci)), float(self.bound[i]))
 
-    def margins(self, z):
-        dplus = np.abs(z - self.plus[:, None])
-        dminus = np.abs(z - self.minus[:, None])
-        prod = np.take(dplus * dminus, self.a, axis=0)
-        m = np.take(dplus, self.b, axis=0)
-        prod *= m
-        prod *= np.take(dminus, self.b, axis=0, out=m)
-        np.multiply(self.bound[:, None], np.abs(z) ** 2, out=m)
+    def _distances(self, z, rows):
+        """|z - f| to each primitive's foci plus[a], minus[a], plus[b],
+        minus[b]; for a table, taken once per focus of the table."""
+        if rows is None:
+            d = [np.abs(z - f[:, None]) for f in (self.plus, self.minus)]
+            return [np.take(d[k], pair, axis=0) for pair in (self.a, self.b) for k in (0, 1)]
+        foci = [f[pair[rows]] for pair in (self.a, self.b) for f in (self.plus, self.minus)]
+        return [np.abs(z - f) for f in foci]
+
+    def margins(self, z, rows=None):
+        if rows is None:  # the product of each table row's distances, taken once
+            dplus = np.abs(z - self.plus[:, None])
+            dminus = np.abs(z - self.minus[:, None])
+            prod = np.take(dplus * dminus, self.a, axis=0)
+            far = np.take(dplus, self.b, axis=0), np.take(dminus, self.b, axis=0)
+        else:
+            x = self._distances(z, rows)
+            prod, far = x[0] * x[1], x[2:]
+        (bound,) = _cols(rows, self.bound)
+        prod *= far[0]
+        prod *= far[1]
+        m = bound * np.abs(z) ** 2
         m -= prod
         return m
 
@@ -332,23 +365,37 @@ class _DoubleOvals(_Kind):
         R = 0.5 * (half + np.sqrt(np.maximum(disc, 0.0)))
         return -R, R, -R, R
 
-    def variation(self, z0, delta):
-        dplus = np.abs(z0 - self.plus[:, None])
-        dminus = np.abs(z0 - self.minus[:, None])
-        x = [np.take(d, rows, axis=0) for rows in (self.a, self.b) for d in (dplus, dminus)]
-        prod = x[0] * x[1] * x[2] * x[3]
-        grown = (x[0] + delta) * (x[1] + delta) * (x[2] + delta) * (x[3] + delta)
-        b, absz = self.bound[:, None], np.abs(z0)
-        spread = b * delta * (2.0 * absz + delta) + (grown - prod)
-        return spread + _ROUNDING * (b * (absz + delta) ** 2 + grown)
+    def variation(self, z0, delta, rows=None):
+        # products, sums and differences in place, in the order of
+        # spread = b delta (2|z0| + delta) + (grown - prod) and
+        # spread + _ROUNDING (b (|z0| + delta)**2 + grown)
+        x = self._distances(z0, rows)
+        prod = x[0] * x[1]
+        prod *= x[2]
+        prod *= x[3]
+        grown = x[0] + delta
+        for d in x[1:]:
+            grown *= d + delta
+        del x
+        (b,) = _cols(rows, self.bound)
+        absz = np.abs(z0)
+        spread = b * delta
+        spread *= 2.0 * absz + delta
+        np.subtract(grown, prod, out=prod)
+        spread += prod
+        allowance = b * (absz + delta) ** 2
+        allowance += grown
+        allowance *= _ROUNDING
+        spread += allowance
+        return spread
 
 
 def _block_disks(x0, x1, y0, y1):
     """Centres z0 and radii delta of the disks about the rectangles
-    [x0, x1] x [y0, y1], one per y range and x range, row-major by y."""
+    [x0, x1] x [y0, y1], elementwise."""
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     hx, hy = np.maximum(cx - x0, x1 - cx), np.maximum(cy - y0, y1 - cy)
-    return (cx[None, :] + 1j * cy[:, None]).ravel(), np.hypot(hx[None, :], hy[:, None]).ravel()
+    return cx + 1j * cy, np.hypot(hx, hy)
 
 
 def _point_blocks(pts: np.ndarray):
@@ -383,22 +430,81 @@ def _point_blocks(pts: np.ndarray):
     return blk, used, centre[used], np.sqrt(far[used])
 
 
-def _certify(kind: _Kind, z0: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _certify(kind: _Kind, z0: np.ndarray, delta: np.ndarray, rows=None) -> np.ndarray:
     """What the kind's ``variation`` bound settles about each primitive on
-    each disk |z - z0| <= delta, as int8 (primitives x disks): 1 where
-    m(z0) > variation, so every point's computed margin is positive; -1
-    where m(z0) < -variation, so every one is negative; 0 where undecided.
-    Evaluated in chunks of about CHUNK_ELEMENTS pairs."""
-    out = np.empty((len(kind), len(z0)), dtype=np.int8)
-    step = max(1, CHUNK_ELEMENTS // len(kind))
+    each disk |z - z0| <= delta, as int8 (primitives x disks), or with
+    ``rows`` about primitive rows[k] on disk k only: 1 where m(z0) >
+    variation, so every point's computed margin is positive; -1 where m(z0)
+    < -variation, so every one is negative; 0 where undecided.  Evaluated
+    in chunks of about CHUNK_ELEMENTS pairs."""
+    if rows is None:
+        out = np.empty((len(kind), len(z0)), dtype=np.int8)
+        step = max(1, CHUNK_ELEMENTS // len(kind))
+    else:
+        out, step = np.empty(len(z0), dtype=np.int8), CHUNK_ELEMENTS
     with _quiet():
         for lo in range(0, len(z0), step):
-            m = kind.margins(z0[lo : lo + step])
-            bound = kind.variation(z0[lo : lo + step], delta[lo : lo + step])
-            block = out[:, lo : lo + step]
+            at = slice(lo, lo + step)
+            chunk = None if rows is None else rows[at]
+            m = kind.margins(z0[at], chunk)
+            bound = kind.variation(z0[at], delta[at], chunk)
+            block = out[..., at]
             block[...] = m > bound
             block -= m < -bound
     return out
+
+
+def _descend(kind: _Kind, rows, xs, ys, cells: int, ends: int):
+    """Certify square blocks of a grid for the kind's primitives ``rows``,
+    coarse to fine (Snyder, SIGGRAPH 1992).
+
+    Row k of the C-contiguous tables ``xs`` and ``ys`` holds the x and y
+    coordinates of the grid points of primitive rows[k]; tables of one row
+    are shared by all.  The grid has ``cells`` cells per side, and a block
+    of s cells starting at cell i0 holds the points i0 to i0 + s - 1 +
+    ``ends`` of each axis, clipped at the last one: ``ends`` is 1 when the
+    points are the cells' corner nodes, 0 when they are their centres.  The
+    descent starts from one block of BLOCK_CELLS * 2**j >= cells cells per
+    primitive and halves only the blocks that ``_certify`` leaves
+    undecided, down to BLOCK_CELLS; blocks starting past the grid are
+    dropped.  Yields each level as (size, blocks, verdict), the blocks as
+    rows k, j0 and i0 of one array, from the top down; the blocks that the
+    last level leaves undecided are the leaves.
+    """
+    size = _top_size(cells)
+    # a block's four halves start at these offsets (k, j0, i0) in units of
+    # their size
+    blocks = np.zeros((3, len(rows)), dtype=np.intp)
+    blocks[0] = np.arange(len(rows))
+    halves = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]])[:, None, :]
+    last = xs.shape[1] - 1
+    while True:
+        k, j0, i0 = blocks
+        row = _row_offsets(xs, k)
+        span = size - 1 + ends
+        x0, x1 = (xs.take(row + i) for i in (i0, np.minimum(i0 + span, last)))
+        y0, y1 = (ys.take(row + j) for j in (j0, np.minimum(j0 + span, last)))
+        verdict = _certify(kind, *_block_disks(x0, x1, y0, y1), rows[k])
+        yield size, blocks, verdict
+        if size == BLOCK_CELLS:
+            return
+        blocks = blocks[:, verdict == 0]
+        size //= 2
+        blocks = (blocks[:, :, None] + size * halves).reshape(3, -1)
+        if cells % (2 * size):  # some halves may start past the grid
+            blocks = blocks[:, (blocks[1] < cells) & (blocks[2] < cells)]
+
+
+def _top_size(cells: int) -> int:
+    """Cells per side of the descent's first block: the least BLOCK_CELLS *
+    2**j that is at least ``cells``."""
+    return BLOCK_CELLS << ((cells - 1) // BLOCK_CELLS).bit_length()
+
+
+def _row_offsets(table, k):
+    """Flat offsets of the rows k of a (rows, points) table, all 0 for a
+    table of one row."""
+    return k * table.shape[1] if len(table) > 1 else np.zeros_like(k)
 
 
 def _memberships(unions, z) -> list[np.ndarray]:
@@ -691,110 +797,185 @@ _CASES = np.array(
 )
 
 
-def boundary_polyline(p: RegionPrimitive, resolution: int = 512) -> list[np.ndarray]:
-    """Closed polylines tracing the primitive boundary (marching squares).
+def boundary_polylines(u: RegionUnion, resolution: int = 512) -> list[list[np.ndarray]]:
+    """Closed polylines tracing each primitive's boundary (marching
+    squares), one list per primitive in the union's order.
 
-    Degenerate (zero-measure) primitives yield an empty list.  The grid is
-    the padded bounding box, so every contour closes inside it.  Each grid
-    edge whose ends differ in sign carries one crossing, numbered so that
-    horizontal edges come first, then by column, then by row; every loop
-    starts at the lowest unused crossing.
+    Degenerate (zero-measure) primitives yield an empty list.  Each
+    primitive's grid is its padded bounding box, so every contour closes
+    inside it.  Each grid edge whose ends differ in sign carries one
+    crossing, numbered so that horizontal edges come first, then by column,
+    then by row; every loop starts at the lowest unused crossing and leaves
+    it towards the crossing's neighbour in its lower or left cell.
 
     Only a narrow band is evaluated (Adalsteinsson & Sethian, J. Comput.
-    Phys. 118, 1995): a block of BLOCK_CELLS x BLOCK_CELLS cells whose
-    centre margin exceeds its kind's ``variation`` bound has one sign at all
-    its nodes and is skipped.  The loops are the full grid's, bit for bit.
+    Phys. 118, 1995).  The primitives go kind by kind, in batches of
+    CHUNK_ELEMENTS / (2 BLOCK_CELLS resolution), through ``_descend``: from
+    one block over the whole grid, the blocks that the kind's ``variation``
+    bound cannot settle are halved down to BLOCK_CELLS x BLOCK_CELLS cells,
+    and margins are evaluated only at the nodes of the undecided leaves.
+    The loops are the full grid's, bit for bit.
     """
+    return _polylines(u.primitives, resolution)
+
+
+def boundary_polyline(p: RegionPrimitive, resolution: int = 512) -> list[np.ndarray]:
+    """The loops of one primitive: ``boundary_polylines`` of a union that
+    holds only p."""
+    return _polylines(_Primitives.pack((p,)), resolution)[0]
+
+
+def _polylines(prims: _Primitives, resolution: int) -> list[list[np.ndarray]]:
     if resolution < 32:
         raise InputError("resolution must be at least 32")
-    if p.is_degenerate:
-        return []
-    (kind,) = _Primitives.pack((p,)).kinds
-    box = Box(*(float(edge[0]) for edge in kind.boxes())).padded(0.05)
-    xs = np.linspace(box.xmin, box.xmax, resolution + 1)
-    ys = np.linspace(box.ymin, box.ymax, resolution + 1)
+    loops = [[] for _ in range(len(prims))]
+    # a primitive's undecided leaves number up to about 2 * resolution, so a
+    # batch's leaves cover at most about BLOCK_CELLS * CHUNK_ELEMENTS cells
+    batch = max(1, CHUNK_ELEMENTS // (2 * BLOCK_CELLS * resolution))
+    for kind in prims.kinds:
+        live = np.flatnonzero([not kind.item(i).is_degenerate for i in range(len(kind))])
+        boxes = kind.boxes()
+        for lo in range(0, len(live), batch):
+            rows = live[lo : lo + batch]
+            for i, found in zip(rows.tolist(), _trace(kind, rows, boxes, resolution)):
+                loops[kind.pos[i]] = found
+    return loops
 
-    # each row (column) of blocks: its node indices, clipped at the last node
-    B = BLOCK_CELLS
-    nodes = np.minimum(np.arange(0, resolution, B)[:, None] + np.arange(B + 1), resolution)
-    n0, n1 = nodes[:, 0], nodes[:, -1]
-    z0, delta = _block_disks(xs[n0], xs[n1], ys[n0], ys[n1])
-    by, bx = np.divmod(np.flatnonzero(_certify(kind, z0, delta)[0] == 0), len(nodes))
 
-    # negated margins at the other blocks' nodes, in batches of blocks
-    Gs = np.empty((len(by), B + 1, B + 1))
-    step = max(1, CHUNK_ELEMENTS // (B + 1) ** 2)
-    for lo in range(0, len(by), step):
-        rows, cols = nodes[by[lo : lo + step]], nodes[bx[lo : lo + step]]
-        z = xs[cols][:, None, :] + 1j * ys[rows][:, :, None]
-        Gs[lo : lo + step] = kind.margins(z.ravel())[0].reshape(z.shape)
+def _trace(kind: _Kind, rows, boxes, resolution: int) -> list[list[np.ndarray]]:
+    """The loops of the kind's primitives ``rows``, a list per row."""
+    w = resolution + 1
+    grids = [Box(*(float(edge[i]) for edge in boxes)).padded(0.05) for i in rows.tolist()]
+    xs = np.array([np.linspace(box.xmin, box.xmax, w) for box in grids])
+    ys = np.array([np.linspace(box.ymin, box.ymax, w) for box in grids])
+    for _, level, verdict in _descend(kind, rows, xs, ys, resolution, 1):
+        pass  # only the last level's undecided blocks, the leaves, are traced
+    leaves = tuple(level[:, verdict == 0])
+    # negated margins at the undecided leaves' nodes; exact zeros count as
+    # inside, so boundaries through nodes still trace
+    Gs = np.empty((len(leaves[0]), BLOCK_CELLS + 1, BLOCK_CELLS + 1))
+    for at, z, prim in _leaf_points(rows, xs, ys, leaves, 1):
+        Gs[at] = kind.margins(z, prim)
     np.negative(Gs, out=Gs)
-    # treat exact zeros as inside so boundaries through nodes still trace
     Gs[Gs == 0.0] = -np.finfo(float).tiny
+    keys, end_leaf = _segment_ends(Gs, leaves, w)
+    first, second, prim, points = _crossings(keys, end_leaf, Gs, leaves, xs, ys, w)
+    return _loops(first, second, points, prim, len(rows))
+
+
+def _leaf_points(rows, xs, ys, leaves, ends: int):
+    """The grid points of the leaves (k, j0, i0) of ``_descend`` in batches
+    of about CHUNK_ELEMENTS: for each batch its slice of the leaves, the
+    points, BLOCK_CELLS + ``ends`` per side from (j0, i0) clipped at the
+    last one, as (leaves, side, side), and each leaf's primitive row as
+    (leaves, 1, 1), to evaluate the kind's margins with."""
+    leaf, j0, i0 = leaves
+    span = np.arange(BLOCK_CELLS + ends)
+    last = xs.shape[1] - 1
+    step = max(1, CHUNK_ELEMENTS // len(span) ** 2)
+    for lo in range(0, len(leaf), step):
+        at = slice(lo, lo + step)
+        row = _row_offsets(xs, leaf[at])[:, None, None]
+        cols = np.minimum(i0[at, None] + span, last)[:, None, :]
+        lines = np.minimum(j0[at, None] + span, last)[:, :, None]
+        yield at, xs.take(row + cols) + 1j * ys.take(row + lines), rows[leaf[at, None, None]]
+
+
+def _segment_ends(Gs, leaves, w: int):
+    """Marching squares over the leaves' cells: a sort key for each
+    segment end, each segment's two ends in a row, and the index of each
+    end's leaf in Gs.
+
+    A key is twice its edge's id plus 1 where the end's cell is the upper
+    or right one of the edge's two cells.  Edge ids: horizontal edge (ix,
+    iy) of the batch's k-th primitive is (2w k + ix) w + iy, its vertical
+    edge w*w more, with w nodes per row.  Cells past the grid's last row or
+    column lie between copies of its nodes, all outside the padded box:
+    case 0.
+    """
+    leaf, j0, i0 = leaves
     inside = (Gs <= 0.0).view(np.int8)
     cases = inside[:, :-1, :-1] | inside[:, :-1, 1:] << 1
     cases |= inside[:, 1:, 1:] << 2 | inside[:, 1:, :-1] << 3
-    # Crossed cells, row-major within row-major blocks, so an edge's lower or
-    # left cell comes first.  Cells past the grid's last row or column lie
-    # between copies of its nodes, all outside the padded box: case 0.
-    blk, j, i = np.nonzero((cases != 0) & (cases != 15))
-    case = cases[blk, j, i]
-    centre = 0.25 * (Gs[blk, j, i] + Gs[blk, j, i + 1] + Gs[blk, j + 1, i] + Gs[blk, j + 1, i + 1])
+    cell, j, i = np.nonzero((cases != 0) & (cases != 15))
+    case = cases[cell, j, i]
+    centre = Gs[cell, j, i] + Gs[cell, j, i + 1]
+    centre += Gs[cell, j + 1, i]
+    centre += Gs[cell, j + 1, i + 1]
+    centre *= 0.25
     case[(case == 5) & (centre <= 0)] = 16
     case[(case == 10) & (centre <= 0)] = 17
+    # sides B, R, T, L: their edges' offsets from the cell's bottom edge,
+    # doubled, plus the far-cell bit
+    side_key = np.array([1, 2 * (w * w + w), 2, 2 * w * w + 1])
+    segs = _CASES[case]
+    base = 2 * ((2 * w * leaf[cell] + i0[cell] + i) * w + j0[cell] + j)
+    valid = segs >= 0
+    keys = (base[:, None] + side_key[segs])[valid]
+    return keys, cell[np.flatnonzero(valid) >> 2]
 
-    # Edge ids: horizontal edge (ix, iy) is ix*w + iy, vertical edge (ix, iy)
-    # is w*w + ix*w + iy, with w nodes per row; a cell's sides offset its key.
-    w = resolution + 1
-    side_offset = np.array([0, w * w + w, 1, w * w])
-    segs = _CASES[case].reshape(-1, 2)
-    kept = segs[:, 0] >= 0
-    end_cell = np.repeat(np.flatnonzero(kept) // 2, 2)
-    ends = ((bx[blk] * B + i) * w + by[blk] * B + j)[end_cell] + side_offset[segs[kept].ravel()]
 
-    # One stable sort groups each crossing's segment ends in cell order, so a
-    # crossing's first neighbour comes from its lower or left cell.
-    order = np.argsort(ends, kind="stable")
-    ends = ends[order]
-    new = np.diff(ends, prepend=-1) != 0
+def _crossings(keys, end_leaf, Gs, leaves, xs, ys, w: int):
+    """Number the crossings by one sort of the segment ends' keys, which
+    puts each crossing's end from its lower or left cell first.  Returns
+    each crossing's first and second neighbour (-1 for none), the batch
+    index of its primitive and its point, interpolated once from its edge's
+    first node to its last in the leaf of its first end."""
+    order = np.argsort(keys)
+    edge = keys[order] >> 1
+    new = np.diff(edge, prepend=-1) != 0
     crossing = np.empty_like(order)
     crossing[order] = np.cumsum(new) - 1
     partner = crossing[order ^ 1]
     heads = np.flatnonzero(new)
-    twice = np.diff(np.append(heads, ends.size)) == 2
-    first = partner[heads].tolist()
-    second = np.where(twice, partner[heads + twice], -1).tolist()
+    twice = np.diff(np.append(heads, edge.size)) == 2
+    first = partner[heads]
+    second = np.where(twice, partner[heads + twice], -1)
 
-    # each crossing interpolated once, from its edge's first node to its last,
-    # in the block of its first cell
-    horiz = ends[heads] < w * w
-    col, row = np.divmod(ends[heads] % (w * w), w)
+    _, j0, i0 = leaves
+    c = end_leaf[order[heads]]
+    prim, edge = np.divmod(edge[heads], 2 * w * w)
+    horiz = edge < w * w
+    col, row = np.divmod(edge % (w * w), w)
     col1, row1 = col + horiz, row + ~horiz
-    k = blk[end_cell[order[heads]]]
-    a = Gs[k, row - by[k] * B, col - bx[k] * B]
-    b = Gs[k, row1 - by[k] * B, col1 - bx[k] * B]
+    a = Gs[c, row - j0[c], col - i0[c]]
+    b = Gs[c, row1 - j0[c], col1 - i0[c]]
     t = a / (a - b)
+    offset = _row_offsets(xs, prim)
+    x, x1 = xs.take(offset + col), xs.take(offset + col1)
+    y, y1 = ys.take(offset + row), ys.take(offset + row1)
     points = np.column_stack(
-        (
-            np.where(horiz, xs[col] + t * (xs[col1] - xs[col]), xs[col]),
-            np.where(horiz, ys[row], ys[row] + t * (ys[row1] - ys[row])),
-        )
+        (np.where(horiz, x + t * (x1 - x), x), np.where(horiz, y, y + t * (y1 - y)))
     )
+    return first, second, prim, points
 
-    loops = []
-    used = [False] * len(first)
-    for start in range(len(first)):
-        if used[start]:
-            continue
-        loop = [start]
-        used[start] = True
-        prev, cur = start, first[start]
-        while cur >= 0 and cur != start and not used[cur]:
-            loop.append(cur)
-            used[cur] = True
-            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
-        loops.append(points[loop + [start]])
-    return loops
+
+def _loops(first, second, points, owner, count: int) -> list[list[np.ndarray]]:
+    """Chain crossings into loops, a list of loops for each owner 0 to
+    count - 1.  Crossing c neighbours first[c] and second[c] (-1 for none)
+    and sits at points[c]; a loop starts at its lowest crossing, leaves it
+    towards first[c] and repeats its start at its end.
+
+    This is the order of a depth-first search over the crossings from a
+    root joined to each crossing below its neighbours, in ascending order:
+    the first one not yet visited is always the lowest of a new loop.
+    """
+    n = len(first)
+    index = np.arange(n)
+    twice = second >= 0
+    lowest = np.flatnonzero((index < first) & (~twice | (index < second)))
+    near = np.column_stack((first, second)).ravel()
+    indices = np.concatenate((near[near >= 0], lowest))
+    indptr = np.concatenate(([0], np.cumsum(1 + twice), [len(indices)]))
+    graph = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+    order, pred = scipy.sparse.csgraph.depth_first_order(graph, n, return_predecessors=True)
+    order = order[1:]
+    starts = np.flatnonzero(pred[order] == n)
+    stops = np.append(starts[1:], n)[: len(starts)]
+    vertices = points[np.insert(order, stops, order[starts])]
+    loops = np.split(vertices, (stops + np.arange(1, len(stops) + 1))[:-1])
+    per_owner = np.cumsum(np.bincount(owner[order[starts]], minlength=count))
+    return [loops[lo:hi] for lo, hi in zip([0] + per_owner[:-1].tolist(), per_owner.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +1034,10 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     full-measure primitive that covers no cell raises ResolutionTooCoarse.
 
     A cell is in a primitive's mask where the margin at its centre is
-    nonnegative.  The masks are built in blocks of BLOCK_CELLS x BLOCK_CELLS
-    cells: a block that ``_certify`` puts inside the primitive is filled
-    whole, one it puts outside stays empty, and only the other blocks' cell
-    centres are evaluated.
+    nonnegative.  The masks come from ``_descend`` over the grid padded to
+    whole leaves of BLOCK_CELLS x BLOCK_CELLS cells: blocks it certifies
+    inside a primitive are filled whole, those it certifies outside stay
+    empty, and only the undecided leaves' cell centres are evaluated.
     """
     if resolution < 32:
         raise InputError("resolution must be at least 32")
@@ -864,66 +1045,83 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     nx = ny = resolution
     dx = (box.xmax - box.xmin) / nx
     dy = (box.ymax - box.ymin) / ny
-    # cell centres over whole blocks; the cells past the grid are cropped
+    # cell centres over whole leaves; the cells past the grid are cropped
     B, nb = BLOCK_CELLS, -(-resolution // BLOCK_CELLS)
-    cx = (box.xmin + (np.arange(nb * B) + 0.5) * dx).reshape(nb, B)
-    cy = (box.ymin + (np.arange(nb * B) + 0.5) * dy).reshape(nb, B)
-    z0, delta = _block_disks(cx[:, 0], cx[:, -1], cy[:, 0], cy[:, -1])
+    side = nb * B
+    cx = box.xmin + (np.arange(side) + 0.5) * dx
+    cy = box.ymin + (np.arange(side) + 0.5) * dy
 
-    # The union over the grid padded to whole blocks, viewed as (block row,
-    # cell row, block column, cell column), and each primitive's blocks
-    # filled whole and other blocks with their cells inside it.
-    padded = np.zeros((nb * B, nb * B), dtype=bool)
+    # The union over the grid padded to whole leaves, viewed as (leaf row,
+    # cell row, leaf column, cell column); the leaves some primitive fills
+    # whole; one cell of each degenerate focus and filled block with its
+    # primitive's position; and each kind's undecided leaves as positions,
+    # leaf rows and columns, and their cells inside the primitive.
+    padded = np.zeros((side, side), dtype=bool)
     blocks = padded.reshape(nb, B, nb, B)
-    owned = [None] * len(u.primitives)
-    whole = np.zeros(nb * nb, dtype=bool)
+    top = _top_size(resolution) // B
+    whole = np.zeros((top, top), dtype=bool)
+    held, partial = [], []
     for kind in u.primitives.kinds:
-        settled = _certify(kind, z0, delta)
-        whole |= (settled == 1).any(axis=0)
-        for i, k in enumerate(kind.pos.tolist()):
-            p = kind.item(i)
-            if p.is_degenerate:
-                jx = np.array([min(max(int((f.real - box.xmin) / dx), 0), nx - 1) for f in p.foci])
-                jy = np.array([min(max(int((f.imag - box.ymin) / dy), 0), ny - 1) for f in p.foci])
-                padded[jy, jx] = True
-                by, bx = jy // B, jx // B
-                inside = np.zeros((len(jy), B, B), dtype=bool)
-                inside[np.arange(len(jy)), jy % B, jx % B] = True
-            else:
-                by, bx = np.divmod(np.flatnonzero(settled[i] == 0), nb)
-                inside = p.margin(cx[bx][:, None, :] + 1j * cy[by][:, :, None]) >= 0.0
-                blocks[by, :, bx, :] |= inside
-            fy, fx = np.divmod(np.flatnonzero(settled[i] == 1), nb)
-            owned[k] = (fy, fx, by, bx, inside)
+        degenerate = np.array([kind.item(i).is_degenerate for i in range(len(kind))])
+        for i in np.flatnonzero(degenerate).tolist():
+            foci = kind.item(i).foci
+            jx = np.array([min(max(int((f.real - box.xmin) / dx), 0), nx - 1) for f in foci])
+            jy = np.array([min(max(int((f.imag - box.ymin) / dy), 0), ny - 1) for f in foci])
+            padded[jy, jx] = True
+            held.append((np.full(len(foci), kind.pos[i]), jy * side + jx))
+        rows = np.flatnonzero(~degenerate)
+        if not len(rows):
+            continue
+        xs, ys = cx[None, :], cy[None, :]
+        for size, level, verdict in _descend(kind, rows, xs, ys, resolution, 0):
+            k, j0, i0 = level[:, verdict == 1]
+            held.append((kind.pos[rows[k]], j0 * side + i0))
+            f = size // B
+            whole.reshape(top // f, f, top // f, f)[j0 // size, :, i0 // size, :] = True
+        leaves = tuple(level[:, verdict == 0])
+        inside = np.empty((len(leaves[0]), B, B), dtype=bool)
+        for at, z, prim in _leaf_points(rows, xs, ys, leaves, 0):
+            inside[at] = kind.margins(z, prim) >= 0.0
+        by, bx = leaves[1] // B, leaves[2] // B
+        partial.append((kind.pos[rows[leaves[0]]], by, bx, inside))
+        # unbuffered, as a leaf may be undecided for several primitives
+        np.logical_or.at(blocks, (by, slice(None), bx, slice(None)), inside)
     # cells past the grid lie outside the padded box, so no primitive holds them
-    blocks |= whole.reshape(nb, 1, nb, 1)
+    blocks |= whole[:nb, None, :nb, None]
 
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    raw_labels, count = scipy.ndimage.label(padded, structure=structure)
+    labels, count = scipy.ndimage.label(padded, structure=structure, output=int)
 
     # canonical order: by smallest flat cell index, the first one in the top
-    # row of each label's bounding slices
-    firsts = [
-        rows.start * nb * B + cols.start + int(np.argmax(raw_labels[rows.start, cols] == label))
-        for label, (rows, cols) in enumerate(scipy.ndimage.find_objects(raw_labels), start=1)
-    ]
+    # row of each label's bounding slices; each label's cells are counted
+    # in its slices
+    firsts, sizes = [], []
+    for label, (rows, cols) in enumerate(scipy.ndimage.find_objects(labels), start=1):
+        mine = labels[rows, cols] == label
+        firsts.append(rows.start * side + cols.start + int(np.argmax(mine[0])))
+        sizes.append(np.count_nonzero(mine))
     order = np.argsort(np.array(firsts, dtype=int))
-    remap = np.zeros(count + 1, dtype=int)
-    remap[order + 1] = np.arange(1, count + 1)
-    labels = remap[raw_labels]
-    cells = np.bincount(labels.ravel(), minlength=count + 1)
+    cells = np.array(sizes, dtype=int)[order]
+    # scipy.ndimage.label numbers features in this order in practice, but
+    # does not promise it
+    if np.any(order != np.arange(count)):
+        remap = np.zeros(count + 1, dtype=int)
+        remap[order + 1] = np.arange(1, count + 1)
+        labels = remap[labels]
 
-    # cells of each primitive per component label, one standing for each
-    # block filled whole, whose cells are connected
-    at = labels.reshape(nb, B, nb, B)
-    hits = np.stack(
-        [
-            np.bincount(
-                np.concatenate((at[fy, 0, fx, 0], at[by, :, bx, :][inside])), minlength=count + 1
-            )
-            for fy, fx, by, bx, inside in owned
-        ]
-    )
+    # the component labels that each primitive's cells take, in batches of
+    # about CHUNK_ELEMENTS cells
+    hits = np.zeros((len(u.primitives), count + 1), dtype=bool)
+    positions, cells_held = (np.concatenate(v) for v in zip(*held))
+    hits[positions, labels.ravel()[cells_held]] = True
+    by_leaf = labels.reshape(nb, B, nb, B)
+    step = max(1, CHUNK_ELEMENTS // (B * B))
+    for positions, by, bx, inside in partial:
+        for lo in range(0, len(by), step):
+            cut = slice(lo, lo + step)
+            label = by_leaf[by[cut], :, bx[cut], :]
+            owner = np.broadcast_to(positions[cut, None, None], label.shape)
+            hits[owner[inside[cut]], label[inside[cut]]] = True
     empty = np.flatnonzero(~hits[:, 1:].any(axis=1))
     if len(empty):
         raise ResolutionTooCoarse(
@@ -939,7 +1137,7 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
                 index=i,
                 modes=modes,
                 primitive_indices=prim_idx,
-                cell_count=int(cells[i + 1]),
+                cell_count=int(cells[i]),
             )
         )
     labels.setflags(write=False)

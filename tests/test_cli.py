@@ -450,6 +450,14 @@ class TestErrorPaths:
         assert cli.main(["analyze", "--input", str(path)]) == 2
         assert "M" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_tiny_system_loads(self, tmp_path, capsys, command):
+        # M = K = 1e-16 is positive definite at its own scale: omega = 1
+        path = tmp_path / "tiny.json"
+        path.write_text('{"n": 1, "M": [1e-16], "C": [0], "K": [1e-16]}')
+        assert cli.main([command, "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "K,pivot",
         [([2, 3, 0, 3, 2, 0, 0, 0, 1], -2.5), ([1e286, 1e300, 0, 1e300, 1e300, 0, 0, 0, 1], None)],

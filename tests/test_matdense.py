@@ -129,6 +129,65 @@ class TestCheckPositiveDefinite:
 
         check()
 
+    def test_verdicts_are_scale_invariant(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 40),
+            st.floats(-150.0, 150.0),
+            st.sampled_from(["spd", "indefinite", "rank-deficient", "zero"]),
+            st.integers(0, 2**32 - 1),
+        )
+        def check(n, exponent, kind, seed):
+            rng = np.random.default_rng(seed)
+            d = rng.uniform(0.1, 1.0, n)
+            if kind == "indefinite":
+                d[: rng.integers(1, n + 1)] *= -1.0
+            elif kind == "rank-deficient":
+                d[: rng.integers(1, n + 1)] = 0.0
+            elif kind == "zero":
+                d[:] = 0.0
+            rng.shuffle(d)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            if kind == "rank-deficient":
+                Q = np.where(d == 0.0, 0.0, 1.0)[:, None] * Q  # zero rows and columns
+            A = (Q * d) @ Q.T
+            A = 0.5 * (A + A.T)
+            scaled = A * 10.0**exponent
+            # leave out pivots within a few ulps of the terms they are taken
+            # from, at either scale
+            for S in (A, scaled):
+                p = loop_pivots(S)
+                diag = np.diag(S)[: len(p)]
+                hypothesis.assume(
+                    np.all(
+                        np.abs(p - _pivot_floor(S))
+                        > 64 * np.finfo(float).eps * (diag + np.abs(diag - p))
+                    )
+                    or kind == "zero"
+                )
+            for test in (cholesky, _check_positive_definite):
+                unit, other = rejection(test, A), rejection(test, scaled)
+                assert (unit is None) == (other is None)
+                if unit is not None:
+                    assert unit.index == other.index
+                    assert kind != "spd"
+                else:
+                    assert kind == "spd"
+
+        check()
+
+    def test_tiny_matrices_are_positive_definite(self):
+        for scale in (1e-16, 1e-300):
+            S = SymMatrix(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+            _check_positive_definite(S, "M")
+            assert np.all(np.diag(cholesky(S)) > 0.0)
+        with pytest.raises(NotPositiveDefinite) as err:
+            _check_positive_definite(np.zeros((2, 2)), "M")
+        assert (err.value.index, err.value.pivot) == (0, 0.0)
+
     def test_pivot_from_the_partial_factor(self):
         S = SymMatrix([[4.0, 2.0, 0.0], [2.0, 5.0, 4.0], [0.0, 4.0, 3.0]])
         with pytest.raises(NotPositiveDefinite) as err:

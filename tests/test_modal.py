@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovalbounds.errors import NotPositiveDefinite, SingularFit
+from ovalbounds.errors import InputError, NotPositiveDefinite, SingularFit
 from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm
 from ovalbounds.modal import (
     ModalForm,
@@ -263,6 +263,11 @@ class TestProportionalFit:
         with pytest.raises(NotPositiveDefinite) as err:
             proportional_fit(form_from(omega, np.eye(3)), W)
         assert (err.value.name, err.value.index, err.value.pivot) == ("W", 2, -3.0)
+
+    def test_weight_of_another_order_refused(self):
+        form = form_from(np.array([1.0, 2.0, 3.0]), np.eye(3))
+        with pytest.raises(InputError, match="order 2"):
+            proportional_fit(form, SymMatrix(np.eye(2)))
 
     def test_residual_dominates_diagonal_split_frobenius(self):
         for seed in range(40):

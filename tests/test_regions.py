@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
-from ovalbounds import regions
+from ovalbounds import cli, regions
 from ovalbounds.errors import CriticalModePresent, InputError, ResolutionTooCoarse
 from ovalbounds.matdense import SymMatrix, spectral_norm
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, quadratic_roots, to_modal
@@ -20,6 +20,7 @@ from ovalbounds.regions import (
     QuasiOval,
     RegionUnion,
     boundary_polyline,
+    boundary_polylines,
     build_regions,
     component_analysis,
 )
@@ -578,6 +579,54 @@ class TestBoundaryPolyline:
             assert len(loops) == len(reference)
             assert all(np.array_equal(a, b) for a, b in zip(loops, reference))
 
+    @pytest.mark.parametrize("resolution", [32, 33, 64, 512])
+    @pytest.mark.parametrize("n,seed", [(1, 0), (3, 2), (6, 4)])
+    def test_unions_equal_the_full_grid_tracer(self, n, seed, resolution):
+        # every method's union, the bare foci with disks, and one union of
+        # all three kinds interleaved with degenerate primitives: each
+        # primitive's loops are the full grid's, in the union's order
+        unions = all_unions(n, seed)
+        mixed = [p for u in unions for p in u.primitives[:3]]
+        mixed += [QuasiOval(0.5j, -0.5j, 0.0), Disk(1.0 + 0j, 0.0), DoubleOval((1j, -1j, 2j, -2j), 0.0)]
+        mixed = mixed[::2] + mixed[1::2]
+        unions.append(RegionUnion(Method.MODAL_OVAL_NORM, mixed, [(0,)] * len(mixed)))
+        for u in unions:
+            traced = boundary_polylines(u, resolution)
+            assert len(traced) == len(u.primitives)
+            for p, loops in zip(u.primitives, traced):
+                reference = full_grid_polyline(p, resolution)
+                assert len(loops) == len(reference)
+                assert all(np.array_equal(a, b) for a, b in zip(loops, reference))
+
+    def test_svg_equals_an_emission_from_full_grid_loops(self, tmp_path, monkeypatch):
+        form = to_modal(random_system(6, 4))
+        unions = [
+            build_regions(*pipeline_of(form), m)
+            for m in (Method.MODAL_OVAL_NORM, Method.BRAUER, Method.MODAL_DISK_ROWSUM)
+        ]
+        spectrum = true_spectrum(form)
+        cli.emit_svg(unions, spectrum, tmp_path / "union.svg", 512)
+        monkeypatch.setattr(
+            cli,
+            "boundary_polylines",
+            lambda u, resolution: [full_grid_polyline(p, resolution) for p in u.primitives],
+        )
+        cli.emit_svg(unions, spectrum, tmp_path / "full.svg", 512)
+        assert (tmp_path / "union.svg").read_bytes() == (tmp_path / "full.svg").read_bytes()
+
+    def test_union_temporaries_stay_small(self):
+        # batches of primitives bound the union tracer's temporaries as
+        # component_analysis's are bounded; 4.2 to 4.8 MB on these unions
+        for seed in (0, 1, 3):
+            union, _ = system_union(12, Method.BRAUER, seed=seed)
+            tracemalloc.start()
+            try:
+                boundary_polylines(union, 512)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6e6
+
     def test_disk_radial_deviation(self):
         disk = Disk(0j, 1.0)
         loops = boundary_polyline(disk, 256)
@@ -621,31 +670,35 @@ class TestBoundaryPolyline:
         union, _ = system_union(8, Method.MODAL_OVAL_NORM, seed=1)
         evaluated = []
         margins = regions._Ovals.margins
-        monkeypatch.setattr(
-            regions._Ovals, "margins", lambda kind, z: evaluated.append(z.size) or margins(kind, z)
-        )
+
+        def counting(kind, z, rows=None):
+            evaluated.append(z.size if rows is not None else len(kind) * z.size)
+            return margins(kind, z, rows)
+
+        monkeypatch.setattr(regions._Ovals, "margins", counting)
         assert boundary_polyline(union.primitives[0], 512)
-        assert sum(evaluated) < 0.15 * 513**2
+        assert sum(evaluated) < 0.1 * 513**2
+        evaluated.clear()
+        assert all(boundary_polylines(union, 512))
+        assert sum(evaluated) < 0.1 * 513**2 * len(union.primitives)
 
     @pytest.mark.parametrize("resolution", [33, 512])
     @pytest.mark.parametrize("n,seed", [(1, 0), (3, 2), (6, 4)])
     def test_certified_blocks_have_one_sign(self, monkeypatch, n, seed, resolution):
-        # every block the tracer skips has its centre's sign at all its nodes
-        # of the full grid, whose last node stands in for the clipped ones
+        # every block the descent certifies has its verdict's sign at all its
+        # nodes of each primitive's full grid, whose last node stands in for
+        # the clipped ones; degenerate primitives are never descended
         calls = []
+        descend = regions._descend
 
-        def recording(variation):
-            def wrapped(kind, z0, delta):
-                bound = variation(kind, z0, delta)
-                calls.append((z0, bound[0]))
-                return bound
+        def recording(kind, rows, xs, ys, cells, ends):
+            levels = []
+            calls.append((kind, rows, xs, ys, levels))
+            for level in descend(kind, rows, xs, ys, cells, ends):
+                levels.append(level)
+                yield level
 
-            return wrapped
-
-        for kind in (regions._Disks, regions._Ovals, regions._DoubleOvals):
-            monkeypatch.setattr(kind, "variation", recording(kind.variation))
-        B = regions.BLOCK_CELLS
-        blocks = -(-resolution // B)
+        monkeypatch.setattr(regions, "_descend", recording)
         form = to_modal(random_system(n, seed))
         certified_blocks = 0
         for method in Method:
@@ -653,23 +706,25 @@ class TestBoundaryPolyline:
                 union = build_regions(*pipeline_of(form), method)
             except CriticalModePresent:
                 continue
-            for p in union.primitives:
-                calls.clear()
-                boundary_polyline(p, resolution)
-                if p.is_degenerate:
-                    assert calls == []
-                    continue
-                ((z0, bound),) = calls
-                m0 = p.margin(z0)
-                certified = (np.abs(m0) > bound).reshape(blocks, blocks)
-                box = p.bounding_box().padded(0.05)
-                xs = np.linspace(box.xmin, box.xmax, resolution + 1)
-                ys = np.linspace(box.ymin, box.ymax, resolution + 1)
-                G = np.pad(p.margin(xs[None, :] + 1j * ys[:, None]), (0, blocks * B - resolution), mode="edge")
-                nodes = np.lib.stride_tricks.sliding_window_view(G, (B + 1, B + 1))[::B, ::B]
-                inside = (m0.reshape(blocks, blocks) >= 0)[certified]
-                assert np.all((nodes[certified] >= 0) == inside[:, None, None])
-                certified_blocks += certified.sum()
+            calls.clear()
+            boundary_polylines(union, resolution)
+            traced = sum(len(rows) for _, rows, *_ in calls)
+            assert traced == sum(not p.is_degenerate for p in union.primitives)
+            for kind, rows, xs, ys, levels in calls:
+                grids = []
+                for row, gx, gy in zip(rows.tolist(), xs, ys):
+                    p = kind.item(row)
+                    assert not p.is_degenerate
+                    box = p.bounding_box().padded(0.05)
+                    assert np.array_equal(gx, np.linspace(box.xmin, box.xmax, resolution + 1))
+                    assert np.array_equal(gy, np.linspace(box.ymin, box.ymax, resolution + 1))
+                    grids.append(p.margin(gx[None, :] + 1j * gy[:, None]))
+                for size, blocks, verdict in levels:
+                    settled = verdict != 0
+                    for (k, j0, i0), v in zip(blocks[:, settled].T.tolist(), verdict[settled]):
+                        nodes = grids[k][j0 : j0 + size + 1, i0 : i0 + size + 1]
+                        assert np.all(nodes > 0) if v == 1 else np.all(nodes < 0)
+                        certified_blocks += 1
         assert certified_blocks > 0
 
     def test_points_on_implicit_zero(self):
@@ -916,7 +971,9 @@ class TestMembership:
         evaluated = []
         margins = regions._Ovals.margins
         monkeypatch.setattr(
-            regions._Ovals, "margins", lambda kind, z: evaluated.append(z.size) or margins(kind, z)
+            regions._Ovals,
+            "margins",
+            lambda kind, z, rows=None: evaluated.append(z.size) or margins(kind, z, rows),
         )
         assert union.membership_many(z).any()
         assert sum(evaluated) < 0.15 * z.size
@@ -948,16 +1005,19 @@ class TestComponentAnalysis:
         union, _ = system_union(12, Method.MODAL_OVAL_NORM, seed=1)
         evaluated = []
         margins = regions._Ovals.margins
-        monkeypatch.setattr(
-            regions._Ovals, "margins", lambda kind, z: evaluated.append(len(kind) * z.size) or margins(kind, z)
-        )
+
+        def counting(kind, z, rows=None):
+            evaluated.append(z.size if rows is not None else len(kind) * z.size)
+            return margins(kind, z, rows)
+
+        monkeypatch.setattr(regions._Ovals, "margins", counting)
         component_analysis(union, 512)
-        assert sum(evaluated) < 0.15 * 12 * 512**2
+        assert sum(evaluated) < 0.03 * 12 * 512**2
 
     def test_temporaries_stay_small(self):
         # At the full-grid rasterization the peak was 16.1 MB (a complex grid
         # of the cell centres, a margin grid and one mask per primitive); the
-        # certified blocks peak at 3.8 to 4.6 MB on these unions.
+        # coarse-to-fine descent peaks at 3.4 to 4.1 MB on these unions.
         for seed in (0, 1, 3):
             union, _ = system_union(12, Method.MODAL_OVAL_NORM, seed=seed)
             tracemalloc.start()
@@ -967,6 +1027,28 @@ class TestComponentAnalysis:
             finally:
                 tracemalloc.stop()
             assert peak < 6e6
+
+    def test_components_numbered_by_their_first_cell(self, monkeypatch):
+        # whatever order scipy labels the features in, components and labels
+        # follow their first cells in raster order
+        u = RegionUnion(
+            Method.UNDAMPED_DISK_NORM,
+            (Disk(0j, 1.0), Disk(3.0 + 3j, 0.5), Disk(-3.0 + 2j, 0.7), Disk(2.0 - 3j, 0.4)),
+            ((0,), (1,), (2,), (3,)),
+        )
+        expected = component_analysis(u, 128)
+        assert [c.primitive_indices for c in expected.components] == [(3,), (0,), (2,), (1,)]
+        label = scipy.ndimage.label
+
+        def reversed_labels(mask, structure, output):
+            labels, count = label(mask, structure=structure, output=output)
+            labels[labels > 0] = count + 1 - labels[labels > 0]
+            return labels, count
+
+        monkeypatch.setattr(scipy.ndimage, "label", reversed_labels)
+        got = component_analysis(u, 128)
+        assert got.components == expected.components
+        assert np.array_equal(got.labels, expected.labels)
 
     def test_two_disjoint_disks(self):
         u = RegionUnion(
