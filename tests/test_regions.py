@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -626,6 +629,16 @@ class TestBoundaryPolyline:
             finally:
                 tracemalloc.stop()
             assert peak < 6e6
+
+    def test_csgraph_loaded_only_by_tracing(self):
+        # the chaining's scipy.sparse.csgraph adds 1-2 MB of peak RSS, which
+        # commands that draw nothing should not pay
+        code = "import sys, ovalbounds.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(regions.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "False"
 
     def test_disk_radial_deviation(self):
         disk = Disk(0j, 1.0)
