@@ -68,7 +68,6 @@ from .regions import (
     Method,
     QuasiOval,
     RegionUnion,
-    boundary_polyline,
     boundary_polylines,
     build_regions,
     component_analysis,

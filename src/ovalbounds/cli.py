@@ -27,6 +27,7 @@ from .errors import (
     SingularFit,
 )
 from .matdense import DampedSystem, Spectrum, SymMatrix, load_system, save_system
+from .matdense import _format_float as _f17
 from .modal import (
     CLUSTER_RELTOL,
     ModalForm,
@@ -58,10 +59,6 @@ PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
-
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _f6(x) -> str:
@@ -328,8 +325,6 @@ def _cmd_overdamped(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    if args.resolution < 32:
-        raise InputError("resolution must be at least 32")
     _, form, split, foci = _analysis(args.input)
     unions = list(_unions(args, form, split, foci))
     emit_svg(unions, true_spectrum(form), args.output, args.resolution)
@@ -370,39 +365,20 @@ class _Methods(argparse.Action):
         setattr(namespace, self.dest, [*methods, values])
 
 
-def _integer(low: int):
-    """Argument type: an integer of at least ``low``."""
+def _value(cast, accepts, wanted: str):
+    """Argument type: ``cast(text)`` where ``accepts`` holds for it, else an
+    error saying that it must be ``wanted``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            n = int(text)
+            value = cast(text)
         except ValueError:
-            n = low - 1
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
-        return n
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
 
     return parse
-
-
-def _rtol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = np.nan
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a relative tolerance in (0, 1), got {text!r}")
-    return tol
-
-
-def _extension(text: str) -> float:
-    try:
-        ext = float(text)
-    except ValueError:
-        ext = np.nan
-    if not 0.0 <= ext < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text!r}")
-    return ext
 
 
 @functools.cache
@@ -414,6 +390,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Eigenvalue inclusion regions for damped second-order systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rtol = _value(float, lambda t: 0.0 < t < 1.0, "a relative tolerance in (0, 1)")
 
     def common(p, methods):
         p.add_argument("--input", required=True, help="system JSON file")
@@ -425,12 +402,11 @@ def _parser() -> argparse.ArgumentParser:
             default=tuple(methods),
             help="region method (repeatable)",
         )
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     def extension(p):
         p.add_argument(
             "--extension",
-            type=_extension,
+            type=_value(float, lambda e: 0.0 <= e < np.inf, "a finite number of at least 0"),
             default=None,
             help="override the disk radius or oval extension (not BRAUER)",
         )
@@ -438,21 +414,22 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="modal form, splits, proportional fit")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--rtol", type=_rtol, default=1e-8)
+    p.add_argument("--rtol", type=rtol, default=1e-8)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("regions", help="build region unions and report them")
     common(p, ["MODAL_OVAL_NORM"])
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     extension(p)
     p.set_defaults(func=_cmd_regions)
 
     p = sub.add_parser("overdamped", help="certificates and interval bounds")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--rtol", type=_rtol, default=1e-10)
+    p.add_argument("--rtol", type=rtol, default=1e-10)
     p.add_argument(
         "--epsilon",
-        type=float,
+        type=_value(float, lambda e: 0.0 <= e < 1.0, "a number in [0, 1)"),
         default=None,
         help="also report the relative-perturbation envelope (modally damped systems)",
     )
@@ -467,12 +444,15 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="audit inclusion of the true spectrum")
     common(p, [m.value for m in Method if m is not Method.MODAL_DISK_APPROX])
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="write a random test system")
     p.add_argument("--output", required=True)
-    p.add_argument("--n", type=_integer(1), default=4)
-    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--n", type=_value(int, lambda n: n >= 1, "an integer of at least 1"), default=4)
+    p.add_argument(
+        "--seed", type=_value(int, lambda s: s >= 0, "an integer of at least 0"), default=0
+    )
     p.add_argument("--gamma", type=float, default=1.0, help="damping scale")
     p.add_argument(
         "--overdamped", action="store_true", help="scale damping until overdamped"

@@ -11,9 +11,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
-import scipy.sparse
 
 from .errors import InputError, NoConvergence, NonPositiveFrequency, NotPositiveDefinite
 
@@ -291,6 +289,9 @@ def load_system(path) -> DampedSystem:
 
 def read_matrix_market(path) -> SymMatrix:
     """Read one real symmetric matrix in Matrix Market coordinate/array form."""
+    import scipy.io  # loaded only here: no command reads Matrix Market
+    import scipy.sparse
+
     try:
         mat = scipy.io.mmread(path)
     except Exception as exc:

@@ -36,11 +36,6 @@ class DefinitenessInterval:
     def none(cls) -> "DefinitenessInterval":
         return cls(np.nan, np.nan, empty=True)
 
-    def contains_interval(self, lo: float, hi: float, slack: float = 0.0) -> bool:
-        if self.empty:
-            return False
-        return self.lo - slack <= lo and hi <= self.hi + slack
-
 
 @dataclass(frozen=True)
 class OverdampedCertificate:
@@ -313,20 +308,6 @@ def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
     return best, bool(best > 1.0)
 
 
-def modal_eigenvalues_at_viscosity(form: ModalForm, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted eigenvalue groups of the decoupled system (I, eta D, Omega^2).
-
-    Valid for diagonal modal damping with every mode overdamped at the given
-    viscosity; returns (lower group, upper group), each ascending.
-    """
-    d = np.diag(form.D.array) * eta
-    disc = d * d - 4.0 * form.omega**2
-    if np.any(disc < 0.0):
-        raise ValueError(f"a mode is underdamped at viscosity {eta}")
-    lam_plus, lam_minus = quadratic_roots(d, form.omega)
-    return np.sort(lam_minus.real), np.sort(lam_plus.real)
-
-
 def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
     """Eigenvalue brackets for relative perturbations of size epsilon.
 
@@ -335,8 +316,10 @@ def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
     minimal damping ratio d, which keeps the bracketing systems
     ((1+e)M, (1-e)C, (1+e)K) and ((1-e)M, (1+e)C, (1-e)K) overdamped.  Both
     are the unperturbed system at viscosities eta = (1-e)/(1+e) and its
-    reciprocal, so sorted per-mode eigenvalues bound the perturbed groups
-    componentwise.
+    reciprocal, so the sorted eigenvalue groups of the decoupled system
+    (I, eta D, Omega^2) at these two viscosities bound the perturbed groups
+    componentwise.  The interval check at eta_soft keeps every mode
+    overdamped at both, as eta_hard >= eta_soft.
     """
     D = form.D.array
     off = D - np.diag(np.diag(D))
@@ -360,8 +343,8 @@ def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
         raise EpsilonTooLarge(
             f"epsilon {epsilon} breaks the definiteness interval intersection"
         )
-    minus_soft, plus_soft = modal_eigenvalues_at_viscosity(form, eta_soft)
-    minus_hard, plus_hard = modal_eigenvalues_at_viscosity(form, eta_hard)
+    plus_soft, minus_soft = (np.sort(v.real) for v in quadratic_roots(d * eta_soft, form.omega))
+    plus_hard, minus_hard = (np.sort(v.real) for v in quadratic_roots(d * eta_hard, form.omega))
     return EtaEnvelope(
         epsilon=epsilon,
         minus_lower=minus_hard,

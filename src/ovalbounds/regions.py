@@ -16,7 +16,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 
 from .errors import CriticalModePresent, InputError, ResolutionTooCoarse
 from .matdense import spectral_norm
@@ -45,9 +44,6 @@ class Box:
         dy = max(self.ymax - self.ymin, 1e-12) * frac
         return Box(self.xmin - dx, self.xmax + dx, self.ymin - dy, self.ymax + dy)
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
 
 class _Primitive:
     """Shared evaluation of the region primitives: a value packs itself into
@@ -56,14 +52,11 @@ class _Primitive:
     """
 
     def margin(self, z):
-        """Margin at z in chunks of CHUNK_ELEMENTS points: a numpy scalar for
-        a scalar z, otherwise an array of z's shape."""
+        """Margin at z, the one-primitive kind's ``best_margin``: a numpy
+        scalar for a scalar z, otherwise an array of z's shape."""
         (kind,) = _Primitives.pack((self,)).kinds
         z = np.asarray(z, dtype=complex)
-        flat, out = z.ravel(), np.empty(z.size)
-        for lo in range(0, z.size, CHUNK_ELEMENTS):
-            out[lo : lo + CHUNK_ELEMENTS] = kind.margins(flat[lo : lo + CHUNK_ELEMENTS])[0]
-        return out.reshape(z.shape)[()]
+        return kind.best_margin(z.ravel())[0].reshape(z.shape)[()]
 
     def bounding_box(self) -> Box:
         (kind,) = _Primitives.pack((self,)).kinds
@@ -818,23 +811,13 @@ def boundary_polylines(u: RegionUnion, resolution: int = 512) -> list[list[np.nd
     and margins are evaluated only at the nodes of the undecided leaves.
     The loops are the full grid's, bit for bit.
     """
-    return _polylines(u.primitives, resolution)
-
-
-def boundary_polyline(p: RegionPrimitive, resolution: int = 512) -> list[np.ndarray]:
-    """The loops of one primitive: ``boundary_polylines`` of a union that
-    holds only p."""
-    return _polylines(_Primitives.pack((p,)), resolution)[0]
-
-
-def _polylines(prims: _Primitives, resolution: int) -> list[list[np.ndarray]]:
     if resolution < 32:
         raise InputError("resolution must be at least 32")
-    loops = [[] for _ in range(len(prims))]
+    loops = [[] for _ in range(len(u.primitives))]
     # a primitive's undecided leaves number up to about 2 * resolution, so a
     # batch's leaves cover at most about BLOCK_CELLS * CHUNK_ELEMENTS cells
     batch = max(1, CHUNK_ELEMENTS // (2 * BLOCK_CELLS * resolution))
-    for kind in prims.kinds:
+    for kind in u.primitives.kinds:
         live = np.flatnonzero([not kind.item(i).is_degenerate for i in range(len(kind))])
         boxes = kind.boxes()
         for lo in range(0, len(live), batch):
@@ -1047,6 +1030,8 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     inside a primitive are filled whole, those it certifies outside stay
     empty, and only the undecided leaves' cell centres are evaluated.
     """
+    import scipy.ndimage  # loaded only where components are labelled
+
     if resolution < 32:
         raise InputError("resolution must be at least 32")
     box = u.bounding_box().padded(0.02)

@@ -29,7 +29,7 @@ from ovalbounds.regions import (
     Method,
     QuasiOval,
     RegionUnion,
-    boundary_polyline,
+    boundary_polylines,
     build_regions,
     component_analysis,
 )
@@ -387,7 +387,7 @@ def test_criterion_9_figure_regression(tmp_path):
         union = RegionUnion(Method.MODAL_OVAL_NORM, (oval,), ((0,),))
         ca = component_analysis(union, 512)
         assert len(ca.components) == comp_count
-        loops = boundary_polyline(oval, 512)
+        (loops,) = boundary_polylines(union, 512)
         assert len(loops) >= 1
         svg_a = tmp_path / f"panel_{d}_{r}_a.svg"
         svg_b = tmp_path / f"panel_{d}_{r}_b.svg"

@@ -300,9 +300,12 @@ class TestRejectedFlags:
             (command, ["--extension", value])
             for command in ("regions", "plot")
             for value in ("nan", "-0.5", "-1", "inf", "-inf", "x")
-        ],
+        ]
+        + [("overdamped", ["--epsilon", value]) for value in ("nan", "-0.1", "1", "inf", "x")]
+        + [("plot", ["--json"])],  # plot prints no report
     )
     def test_exit_2_naming_the_flag(self, tmp_path, capsys, command, flags):
+        named = [word for word in flags if word.startswith("--")][-1]
         path = write_scalar(tmp_path, 1, 1, 1)
         argv = [command, "--input", str(path)] + flags
         if command == "plot":
@@ -314,7 +317,7 @@ class TestRejectedFlags:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error:" in captured.err and flags[-2] in captured.err
+        assert "error:" in captured.err and named in captured.err
         assert not (tmp_path / "x.svg").exists()
 
 
@@ -492,3 +495,74 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestFuzz:
+    def test_every_run_ends_in_a_known_exit_code(self, tmp_path):
+        # each subcommand with up to four of its own flags and at most one
+        # flag of any subcommand, with valid values, out-of-range ones,
+        # non-finite and non-numeric ones.  Sizes stay small so that no
+        # example allocates much, and valid numbers stay in small ranges:
+        # finite values beyond about 1e150 overflow in the region boxes and
+        # the interval search.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        odd = st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "x", ""])
+
+        def numbers(lo, hi):
+            return st.floats(lo, hi).map(repr) | odd
+
+        def integers(lo, hi):
+            return st.integers(lo, hi).map(str) | st.sampled_from(["2.5", "nan", "x", ""])
+
+        values = {
+            "--json": st.none(),
+            "--overdamped": st.none(),
+            "--method": st.sampled_from([m.value for m in Method] + ["DISK"]),
+            "--rtol": numbers(-1.0, 2.0),
+            "--epsilon": numbers(-1.0, 2.0),
+            "--extension": numbers(-1.0, 4.0),
+            "--gamma": numbers(-1.0, 12.0),
+            "--resolution": integers(-1, 96),
+            "--n": integers(-1, 8),
+            "--seed": integers(-1, 99),
+        }
+        own = {
+            "analyze": ["--json", "--rtol"],
+            "regions": ["--method", "--json", "--extension"],
+            "overdamped": ["--json", "--rtol", "--epsilon"],
+            "plot": ["--method", "--extension", "--resolution"],
+            "verify": ["--method", "--json"],
+            "gen": ["--n", "--seed", "--gamma", "--overdamped"],
+        }
+
+        def flags(names, most):
+            flag = st.sampled_from(names).flatmap(
+                lambda f: values[f].map(lambda v: [f] if v is None else [f, v])
+            )
+            return st.lists(flag, max_size=most)
+
+        general = tmp_path / "general.json"
+        save_system(cli.random_system(3, 1), general)
+        modal = tmp_path / "modal.json"  # modally damped and overdamped
+        modal.write_text('{"n": 2, "M": [1, 0, 0, 1], "C": [5, 0, 0, 7], "K": [1, 0, 0, 2]}')
+        out = tmp_path / "out"
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.data(), st.sampled_from([general, modal]))
+        def check(data, system):
+            command = data.draw(st.sampled_from(sorted(own)))
+            drawn = data.draw(flags(own[command], 4)) + data.draw(flags(sorted(values), 1))
+            out.unlink(missing_ok=True)
+            argv = [command] + ([] if command == "gen" else ["--input", str(system)])
+            if command in ("plot", "gen"):
+                argv += ["--output", str(out)]
+            argv += [word for flag in drawn for word in flag]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the flag or value
+                code = exc.code
+            assert code in (0, 2, 3, 4)
+            assert out.exists() == (code == 0 and command in ("plot", "gen"))
+
+        check()

@@ -210,7 +210,7 @@ class TestSufficientCertificate:
                 hits += 1
                 iv = exact_definiteness_interval(sys_)
                 assert not iv.empty
-                assert iv.contains_interval(cert.p_minus, cert.p_plus, slack=1e-8)
+                assert iv.lo - 1e-8 <= cert.p_minus and cert.p_plus <= iv.hi + 1e-8
         assert hits >= 40  # the generator is certificate friendly
 
 
