@@ -81,7 +81,10 @@ def random_system(
     B = rng.standard_normal((n, n))
     K = SymMatrix(B @ B.T + n * np.eye(n))
     G = rng.standard_normal((n, n))
-    C = gamma * (G @ G.T)
+    with np.errstate(over="ignore"):
+        C = gamma * (G @ G.T)
+    if not np.isfinite(C).all():
+        raise InputError(f"damping scale gamma = {gamma!r} overflows C")
     sys_ = DampedSystem(M, SymMatrix(C), K)
     if overdamped:
         for _ in range(60):
@@ -114,16 +117,20 @@ def emit_svg(
 
     One path element per boundary polyline, small dots for degenerate
     primitives, crosses at eigenvalues, axes with Re/Im labels; the viewBox
-    is the joint bounding box padded by 10%.  Output bytes depend only on
-    the inputs.
+    is the joint bounding box padded by 10%, and one whose width or height
+    is not finite raises InputError before anything is written.  Output
+    bytes depend only on the inputs.
     """
-    boxes = [u.bounding_box() for u in unions]
+    with np.errstate(over="ignore"):  # regions too large for floats: checked below
+        boxes = [u.bounding_box() for u in unions]
     if spectrum is not None:
         boxes += [Box(v.real, v.real, v.imag, v.imag) for v in spectrum.values.tolist()]
     box = functools.reduce(Box.merge, boxes) if boxes else Box(-1.0, 1.0, -1.0, 1.0)
     box = box.padded(0.10)
     w = box.xmax - box.xmin
     h = box.ymax - box.ymin
+    if not (np.isfinite(w) and np.isfinite(h)):
+        raise InputError("the figure's bounding box is not finite: its regions are too large")
     stroke = 0.0025 * max(w, h)
     font = 0.04 * max(w, h)
     lines = [
@@ -453,7 +460,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=_value(int, lambda s: s >= 0, "an integer of at least 0"), default=0
     )
-    p.add_argument("--gamma", type=float, default=1.0, help="damping scale")
+    p.add_argument(
+        "--gamma",
+        type=_value(float, lambda g: 0.0 <= g < np.inf, "a finite number of at least 0"),
+        default=1.0,
+        help="damping scale",
+    )
     p.add_argument(
         "--overdamped", action="store_true", help="scale damping until overdamped"
     )

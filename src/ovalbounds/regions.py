@@ -1,12 +1,14 @@
 """Eigenvalue inclusion regions: disks, quasi/modified Cassini ovals, double
 ovals, the method constructors, and rasterized component analysis.
 
-Membership predicates are exact (no tolerance).  Each region kind writes
-its signed margin (right side minus left side of its defining inequality,
-positive inside) and its bounding box once, over packed arrays; primitive
-values evaluate through a one-primitive kind.  Tracing, rasterization and
-sampled membership settle whole blocks of points with each kind's bound on
-the margin's variation and evaluate margins only where it cannot.
+Membership predicates are exact (no tolerance).  A union holds one kind of
+primitive, as each of the paper's inclusion sets does, packed as arrays.
+Each kind writes its signed margin (right side minus left side of its
+defining inequality, positive inside) and its bounding box once, over its
+arrays; primitive values evaluate through a one-primitive kind.  Tracing,
+rasterization and sampled membership settle whole blocks of points with
+each kind's bound on the margin's variation and evaluate margins only where
+it cannot.
 """
 
 from __future__ import annotations
@@ -54,13 +56,10 @@ class _Primitive:
     def margin(self, z):
         """Margin at z, the one-primitive kind's ``best_margin``: a numpy
         scalar for a scalar z, otherwise an array of z's shape."""
-        (kind,) = _Primitives.pack((self,)).kinds
-        z = np.asarray(z, dtype=complex)
-        return kind.best_margin(z.ravel())[0].reshape(z.shape)[()]
+        return _pack((self,)).best_margin(z)[0][()]
 
     def bounding_box(self) -> Box:
-        (kind,) = _Primitives.pack((self,)).kinds
-        return Box(*(float(edge[0]) for edge in kind.boxes()))
+        return Box(*(float(edge[0]) for edge in _pack((self,)).boxes()))
 
     def contains(self, lam: complex) -> bool:
         return bool(self.margin(lam) >= 0.0)
@@ -150,7 +149,7 @@ RIGOROUS_METHODS: frozenset[Method] = frozenset(
 
 #: Elements (primitives x points) in each temporary of a union's margin
 #: evaluation: the points go through in chunks of this many over the
-#: primitive count of one kind, so memory stays bounded at any union size.
+#: union's primitive count, so memory stays bounded at any union size.
 #: At 2**15 the complex temporaries stay at 0.5 MB, and the widest union
 #: (BRAUER, n = 200) takes one point per chunk, its fastest layout.
 CHUNK_ELEMENTS = 1 << 15
@@ -183,13 +182,39 @@ def _cols(rows, *arrays):
     return [a[rows] for a in arrays]
 
 
-class _Kind:
-    """The primitives of one kind in a union, stored as arrays.
+class _View(Sequence):
+    """Read-only sequence whose items are built when accessed."""
 
-    ``pos`` holds each primitive's position in the union, ascending.  Each
-    kind writes its inequality and box once: ``margins(z)``, the (primitives
-    x points) margins at a 1-d chunk of points, ``boxes()``, the (xmin,
-    xmax, ymin, ymax) arrays of the primitives' bounding boxes, and
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._item(j) for j in range(self._len)[i])
+        return self._item(range(self._len)[i])
+
+    def __iter__(self):
+        return (self._item(j) for j in range(self._len))
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class _Kind(_View):
+    """Primitives of one kind stored as arrays, read as a sequence of their
+    dataclass values.
+
+    Each kind writes its inequality and box once: ``margins(z)``, the
+    (primitives x points) margins at a 1-d chunk of points, ``boxes()``, the
+    (xmin, xmax, ymin, ymax) arrays of the primitives' bounding boxes, and
     ``variation(z0, delta)``, a (primitives x points) bound on |m(z) - m(z0)|
     over |z - z0| <= delta, plus an allowance for rounding in both computed
     margins, at 1-d z0 and delta.  Given ``rows``, an index array that
@@ -197,27 +222,24 @@ class _Kind:
     delta, rows)`` evaluate pairs instead: primitive rows[k] at the points
     z[k], with the same operations in the same order, so each pair's value
     is its entry in the (primitives x points) table bit for bit.
-    ``item(i)`` gives its i-th primitive as a dataclass value, which
-    evaluates through a one-primitive kind.
     """
 
-    def __len__(self) -> int:
-        return len(self.pos)
-
-    def best_margin(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Largest margin of the kind at each point of the 1-d complex z and
-        the union position of the first primitive attaining it."""
-        best = np.empty(len(z))
-        index = np.empty(len(z), dtype=int)
-        step = max(1, CHUNK_ELEMENTS // len(self.pos))
+    def best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Largest margin at each point of z and the index of the first
+        primitive attaining it, both of z's shape.  The points go through in
+        chunks of CHUNK_ELEMENTS / len(self), so memory stays O(len z)."""
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        best = np.empty(len(flat))
+        index = np.empty(len(flat), dtype=int)
+        step = max(1, CHUNK_ELEMENTS // len(self))
         with _quiet():
-            for lo in range(0, len(z), step):
-                zc = z[lo : lo + step]
-                m = self.margins(zc)
+            for lo in range(0, len(flat), step):
+                m = self.margins(flat[lo : lo + step])
                 k = np.argmax(m, axis=0)
                 best[lo : lo + step] = np.take_along_axis(m, k[None, :], axis=0)[0]
-                index[lo : lo + step] = self.pos[k]
-        return best, index
+                index[lo : lo + step] = k
+        return best.reshape(z.shape), index.reshape(z.shape)
 
 
 class _Disks(_Kind):
@@ -225,18 +247,17 @@ class _Disks(_Kind):
 
     primitive = Disk
 
-    def __init__(self, pos, center, radius):
-        self.pos, self.center, self.radius = pos, center, radius
+    def __init__(self, center, radius):
+        self.center, self.radius, self._len = center, radius, len(radius)
 
     @classmethod
-    def pack(cls, pos, prims):
+    def pack(cls, prims):
         return cls(
-            pos,
             np.array([p.center for p in prims], dtype=complex),
             np.array([p.radius for p in prims], dtype=float),
         )
 
-    def item(self, i) -> Disk:
+    def _item(self, i) -> Disk:
         return Disk(complex(self.center[i]), float(self.radius[i]))
 
     def margins(self, z, rows=None):
@@ -258,20 +279,19 @@ class _Ovals(_Kind):
 
     primitive = QuasiOval
 
-    def __init__(self, pos, plus, minus, r, q):
-        self.pos, self.plus, self.minus, self.r, self.q = pos, plus, minus, r, q
+    def __init__(self, plus, minus, r, q):
+        self.plus, self.minus, self.r, self.q, self._len = plus, minus, r, q, len(r)
 
     @classmethod
-    def pack(cls, pos, prims):
+    def pack(cls, prims):
         return cls(
-            pos,
             np.array([p.focus_plus for p in prims], dtype=complex),
             np.array([p.focus_minus for p in prims], dtype=complex),
             np.array([p.r for p in prims], dtype=float),
             np.array([p.q for p in prims], dtype=float),
         )
 
-    def item(self, i) -> QuasiOval:
+    def _item(self, i) -> QuasiOval:
         return QuasiOval(
             complex(self.plus[i]), complex(self.minus[i]), float(self.r[i]), float(self.q[i])
         )
@@ -307,18 +327,18 @@ class _DoubleOvals(_Kind):
 
     primitive = DoubleOval
 
-    def __init__(self, pos, plus, minus, a, b, bound):
-        self.pos, self.plus, self.minus = pos, plus, minus
-        self.a, self.b, self.bound = a, b, bound
+    def __init__(self, plus, minus, a, b, bound):
+        self.plus, self.minus, self.a, self.b = plus, minus, a, b
+        self.bound, self._len = bound, len(bound)
 
     @classmethod
-    def pack(cls, pos, prims):
+    def pack(cls, prims):
         foci = np.array([p.foci for p in prims], dtype=complex).reshape(-1, 2)
         rows = np.arange(len(foci))
         bound = np.array([p.bound for p in prims], dtype=float)
-        return cls(pos, foci[:, 0], foci[:, 1], rows[0::2], rows[1::2], bound)
+        return cls(foci[:, 0], foci[:, 1], rows[0::2], rows[1::2], bound)
 
-    def item(self, i) -> DoubleOval:
+    def _item(self, i) -> DoubleOval:
         a, b = self.a[i], self.b[i]
         foci = (self.plus[a], self.minus[a], self.plus[b], self.minus[b])
         return DoubleOval(tuple(map(complex, foci)), float(self.bound[i]))
@@ -383,6 +403,22 @@ class _DoubleOvals(_Kind):
         allowance *= _ROUNDING
         spread += allowance
         return spread
+
+
+def _pack(prims) -> _Kind:
+    """The packed kind of a sequence of primitive values, all of one type."""
+    prims = tuple(prims)
+    if not all(isinstance(p, _Primitive) for p in prims):
+        raise InputError("region primitives must be Disk, QuasiOval or DoubleOval values")
+    kinds = [
+        k for k in (_Disks, _Ovals, _DoubleOvals) if any(isinstance(p, k.primitive) for p in prims)
+    ]
+    if not kinds:
+        raise InputError("a region union must hold at least one primitive")
+    if len(kinds) > 1:
+        names = ", ".join(k.primitive.__name__ for k in kinds)
+        raise InputError(f"a region union holds primitives of one kind, got {names} values")
+    return kinds[0].pack(prims)
 
 
 def _block_disks(x0, x1, y0, y1):
@@ -526,74 +562,13 @@ def _memberships(unions, z) -> list[np.ndarray]:
         verdict = np.zeros(flat.size, dtype=np.int8)
         if binned:
             settled = np.zeros(used[-1] + 1, dtype=np.int8)
-            settled[used] = np.max(
-                [_certify(kind, centre, delta).max(axis=0) for kind in u.primitives.kinds],
-                axis=0,
-            )
+            settled[used] = _certify(u.primitives, centre, delta).max(axis=0)
             verdict[finite] = settled[blk]
         member = verdict == 1
         direct = np.flatnonzero(verdict == 0)
         member[direct] = u.best_margin(flat[direct])[0] >= 0.0
         out.append(member.reshape(z.shape))
     return out
-
-
-class _View(Sequence):
-    """Read-only sequence whose items are built when accessed."""
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._item(j) for j in range(self._len)[i])
-        return self._item(range(self._len)[i])
-
-    def __iter__(self):
-        return (self._item(j) for j in range(self._len))
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-class _Primitives(_View):
-    """A union's primitives, packed by kind."""
-
-    def __init__(self, kinds):
-        self.kinds = tuple(k for k in kinds if len(k))
-        self._len = sum(map(len, self.kinds))
-        self._where = None
-
-    @classmethod
-    def pack(cls, prims) -> "_Primitives":
-        prims = tuple(prims)
-        kinds = []
-        for kind in (_Disks, _Ovals, _DoubleOvals):
-            pos = [k for k, p in enumerate(prims) if isinstance(p, kind.primitive)]
-            if pos:
-                kinds.append(kind.pack(np.array(pos), [prims[k] for k in pos]))
-        packed = cls(kinds)
-        if len(packed) != len(prims):
-            raise InputError("region primitives must be Disk, QuasiOval or DoubleOval values")
-        return packed
-
-    def _item(self, j):
-        if self._where is None:
-            where = [None] * self._len
-            for kind in self.kinds:
-                for i, k in enumerate(kind.pos.tolist()):
-                    where[k] = (kind, i)
-            self._where = where
-        kind, i = self._where[j]
-        return kind.item(i)
 
 
 class _ModeLabels(_View):
@@ -611,11 +586,14 @@ class _ModeLabels(_View):
 class RegionUnion:
     """A method tag with its primitives and the generating mode indices.
 
-    The primitives are stored by kind as arrays (disks as centers and radii,
-    ovals as foci with r and q, double ovals as a per-mode focus table with
-    pair indices and bounds).  ``primitives`` and ``mode_labels`` are
-    read-only sequences whose items are built when accessed; any sequence
-    of ``Disk``, ``QuasiOval`` and ``DoubleOval`` values may be given.
+    Each of the paper's inclusion sets is a union of one kind of primitive,
+    and so is every union: its primitives are packed as one kind's arrays
+    (disks as centers and radii, ovals as foci with r and q, double ovals as
+    a per-mode focus table with pair indices and bounds).  ``primitives``
+    and ``mode_labels`` are read-only sequences whose items are built when
+    accessed.  Any nonempty sequence of ``Disk``, of ``QuasiOval`` or of
+    ``DoubleOval`` values may be given; one that mixes them raises
+    ``InputError``.
     """
 
     method: Method
@@ -624,13 +602,11 @@ class RegionUnion:
 
     def __post_init__(self):
         prims = self.primitives
-        if not isinstance(prims, _Primitives):
-            prims = _Primitives.pack(prims)
+        if not isinstance(prims, _Kind):
+            prims = _pack(prims)
         labels = self.mode_labels
         if not isinstance(labels, _ModeLabels):
             labels = tuple(labels)
-        if len(prims) == 0:
-            raise InputError("a region union must hold at least one primitive")
         if len(prims) != len(labels):
             raise InputError("one mode label tuple per primitive required")
         object.__setattr__(self, "primitives", prims)
@@ -643,10 +619,7 @@ class RegionUnion:
     def bounding_box(self) -> Box:
         """The merge of the primitives' boxes, from the packed arrays; among
         equal extremes the first primitive's wins, as in ``Box.merge``."""
-        edges = np.empty((4, len(self.primitives)))
-        for kind in self.primitives.kinds:
-            edges[:, kind.pos] = kind.boxes()
-        xmin, xmax, ymin, ymax = edges
+        xmin, xmax, ymin, ymax = self.primitives.boxes()
         return Box(
             float(xmin[np.argmin(xmin)]),
             float(xmax[np.argmax(xmax)]),
@@ -656,19 +629,8 @@ class RegionUnion:
 
     def best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Largest primitive margin at each point and the index of the first
-        primitive attaining it.  Each kind is evaluated in one vectorized
-        pass over chunks of points, so memory stays O(len z)."""
-        z = np.asarray(z, dtype=complex)
-        best = index = None
-        for kind in self.primitives.kinds:
-            m, k = kind.best_margin(z.ravel())
-            if best is None:
-                best, index = m, k
-                continue
-            better = (m > best) | ((m == best) & (k < index))
-            best = np.where(better, m, best)
-            index = np.where(better, k, index)
-        return best.reshape(z.shape), index.reshape(z.shape)
+        primitive attaining it (see ``_Kind.best_margin``)."""
+        return self.primitives.best_margin(z)
 
     def membership_many(self, z: np.ndarray) -> np.ndarray:
         """``best_margin(z)[0] >= 0``, settled block by block where it can
@@ -676,20 +638,14 @@ class RegionUnion:
         return _memberships((self,), z)[0]
 
 
-def _packed(method: Method, kind: _Kind, lo, hi) -> RegionUnion:
-    return RegionUnion(method, _Primitives([kind]), _ModeLabels(lo, hi))
-
-
 def _disk_pairs(method: Method, plus, minus, r_plus, r_minus) -> RegionUnion:
     """One disk about each focus of every mode, the + disk first."""
     n = len(plus)
     disks = _Disks(
-        np.arange(2 * n),
-        np.stack((plus, minus), axis=1).ravel(),
-        np.stack((r_plus, r_minus), axis=1).ravel(),
+        np.stack((plus, minus), axis=1).ravel(), np.stack((r_plus, r_minus), axis=1).ravel()
     )
     modes = np.repeat(np.arange(n), 2)
-    return _packed(method, disks, modes, modes)
+    return RegionUnion(method, disks, _ModeLabels(modes, modes))
 
 
 def build_regions(
@@ -738,8 +694,8 @@ def build_regions(
             # a single mode has no pair; its bound rsum[0]^2 is 0, leaving the
             # double oval as the bare foci
             a, b = np.triu_indices(n, 1) if n > 1 else (np.zeros(1, dtype=int),) * 2
-            doubles = _DoubleOvals(np.arange(len(a)), plus, minus, a, b, rsum[a] * rsum[b])
-            return _packed(method, doubles, a, b)
+            doubles = _DoubleOvals(plus, minus, a, b, rsum[a] * rsum[b])
+            return RegionUnion(method, doubles, _ModeLabels(a, b))
         if method.name.startswith("MODAL_DISK"):
             if foci.any_critical:
                 raise CriticalModePresent(
@@ -769,7 +725,8 @@ def build_regions(
     if "_DISK_" in method.name:
         return _disk_pairs(method, plus, minus, ext, ext)
     modes = np.arange(n)
-    return _packed(method, _Ovals(modes, plus, minus, ext, np.full(n, q)), modes, modes)
+    ovals = _Ovals(plus, minus, ext, np.full(n, q))
+    return RegionUnion(method, ovals, _ModeLabels(modes, modes))
 
 
 # ---------------------------------------------------------------------------
@@ -804,26 +761,26 @@ def boundary_polylines(u: RegionUnion, resolution: int = 512) -> list[list[np.nd
     it towards the crossing's neighbour in its lower or left cell.
 
     Only a narrow band is evaluated (Adalsteinsson & Sethian, J. Comput.
-    Phys. 118, 1995).  The primitives go kind by kind, in batches of
-    CHUNK_ELEMENTS / (2 BLOCK_CELLS resolution), through ``_descend``: from
-    one block over the whole grid, the blocks that the kind's ``variation``
-    bound cannot settle are halved down to BLOCK_CELLS x BLOCK_CELLS cells,
-    and margins are evaluated only at the nodes of the undecided leaves.
-    The loops are the full grid's, bit for bit.
+    Phys. 118, 1995).  The primitives go in batches of CHUNK_ELEMENTS /
+    (2 BLOCK_CELLS resolution) through ``_descend``: from one block over
+    the whole grid, the blocks that the kind's ``variation`` bound cannot
+    settle are halved down to BLOCK_CELLS x BLOCK_CELLS cells, and margins
+    are evaluated only at the nodes of the undecided leaves.  The loops are
+    the full grid's, bit for bit.
     """
     if resolution < 32:
         raise InputError("resolution must be at least 32")
-    loops = [[] for _ in range(len(u.primitives))]
+    kind = u.primitives
+    loops = [[] for _ in range(len(kind))]
     # a primitive's undecided leaves number up to about 2 * resolution, so a
     # batch's leaves cover at most about BLOCK_CELLS * CHUNK_ELEMENTS cells
     batch = max(1, CHUNK_ELEMENTS // (2 * BLOCK_CELLS * resolution))
-    for kind in u.primitives.kinds:
-        live = np.flatnonzero([not kind.item(i).is_degenerate for i in range(len(kind))])
-        boxes = kind.boxes()
-        for lo in range(0, len(live), batch):
-            rows = live[lo : lo + batch]
-            for i, found in zip(rows.tolist(), _trace(kind, rows, boxes, resolution)):
-                loops[kind.pos[i]] = found
+    live = np.flatnonzero([not p.is_degenerate for p in kind])
+    boxes = kind.boxes()
+    for lo in range(0, len(live), batch):
+        rows = live[lo : lo + batch]
+        for i, found in zip(rows.tolist(), _trace(kind, rows, boxes, resolution)):
+            loops[i] = found
     return loops
 
 
@@ -1047,38 +1004,34 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     # The union over the grid padded to whole leaves, viewed as (leaf row,
     # cell row, leaf column, cell column); the leaves some primitive fills
     # whole; one cell of each degenerate focus and filled block with its
-    # primitive's position; and each kind's undecided leaves as positions,
-    # leaf rows and columns, and their cells inside the primitive.
+    # primitive's index; and the undecided leaves' primitives, leaf rows and
+    # columns, and their cells inside the primitive.
     padded = np.zeros((side, side), dtype=bool)
     blocks = padded.reshape(nb, B, nb, B)
     top = _top_size(resolution) // B
     whole = np.zeros((top, top), dtype=bool)
-    held, partial = [], []
-    for kind in u.primitives.kinds:
-        degenerate = np.array([kind.item(i).is_degenerate for i in range(len(kind))])
-        for i in np.flatnonzero(degenerate).tolist():
-            foci = kind.item(i).foci
-            jx = np.array([min(max(int((f.real - box.xmin) / dx), 0), nx - 1) for f in foci])
-            jy = np.array([min(max(int((f.imag - box.ymin) / dy), 0), ny - 1) for f in foci])
-            padded[jy, jx] = True
-            held.append((np.full(len(foci), kind.pos[i]), jy * side + jx))
-        rows = np.flatnonzero(~degenerate)
-        if not len(rows):
-            continue
-        xs, ys = cx[None, :], cy[None, :]
-        for size, level, verdict in _descend(kind, rows, xs, ys, resolution, 0):
-            k, j0, i0 = level[:, verdict == 1]
-            held.append((kind.pos[rows[k]], j0 * side + i0))
-            f = size // B
-            whole.reshape(top // f, f, top // f, f)[j0 // size, :, i0 // size, :] = True
-        leaves = tuple(level[:, verdict == 0])
-        inside = np.empty((len(leaves[0]), B, B), dtype=bool)
-        for at, z, prim in _leaf_points(rows, xs, ys, leaves, 0):
-            inside[at] = kind.margins(z, prim) >= 0.0
-        by, bx = leaves[1] // B, leaves[2] // B
-        partial.append((kind.pos[rows[leaves[0]]], by, bx, inside))
-        # unbuffered, as a leaf may be undecided for several primitives
-        np.logical_or.at(blocks, (by, slice(None), bx, slice(None)), inside)
+    kind, held = u.primitives, []
+    degenerate = np.array([p.is_degenerate for p in kind])
+    for i in np.flatnonzero(degenerate).tolist():
+        foci = kind[i].foci
+        jx = np.array([min(max(int((f.real - box.xmin) / dx), 0), nx - 1) for f in foci])
+        jy = np.array([min(max(int((f.imag - box.ymin) / dy), 0), ny - 1) for f in foci])
+        padded[jy, jx] = True
+        held.append((np.full(len(foci), i), jy * side + jx))
+    rows = np.flatnonzero(~degenerate)
+    xs, ys = cx[None, :], cy[None, :]
+    for size, level, verdict in _descend(kind, rows, xs, ys, resolution, 0):
+        k, j0, i0 = level[:, verdict == 1]
+        held.append((rows[k], j0 * side + i0))
+        f = size // B
+        whole.reshape(top // f, f, top // f, f)[j0 // size, :, i0 // size, :] = True
+    leaves = tuple(level[:, verdict == 0])
+    inside = np.empty((len(leaves[0]), B, B), dtype=bool)
+    for at, z, prim in _leaf_points(rows, xs, ys, leaves, 0):
+        inside[at] = kind.margins(z, prim) >= 0.0
+    owners, by, bx = rows[leaves[0]], leaves[1] // B, leaves[2] // B
+    # unbuffered, as a leaf may be undecided for several primitives
+    np.logical_or.at(blocks, (by, slice(None), bx, slice(None)), inside)
     # cells past the grid lie outside the padded box, so no primitive holds them
     blocks |= whole[:nb, None, :nb, None]
 
@@ -1104,17 +1057,16 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
 
     # the component labels that each primitive's cells take, in batches of
     # about CHUNK_ELEMENTS cells
-    hits = np.zeros((len(u.primitives), count + 1), dtype=bool)
+    hits = np.zeros((len(kind), count + 1), dtype=bool)
     positions, cells_held = (np.concatenate(v) for v in zip(*held))
     hits[positions, labels.ravel()[cells_held]] = True
     by_leaf = labels.reshape(nb, B, nb, B)
     step = max(1, CHUNK_ELEMENTS // (B * B))
-    for positions, by, bx, inside in partial:
-        for lo in range(0, len(by), step):
-            cut = slice(lo, lo + step)
-            label = by_leaf[by[cut], :, bx[cut], :]
-            owner = np.broadcast_to(positions[cut, None, None], label.shape)
-            hits[owner[inside[cut]], label[inside[cut]]] = True
+    for lo in range(0, len(by), step):
+        cut = slice(lo, lo + step)
+        label = by_leaf[by[cut], :, bx[cut], :]
+        owner = np.broadcast_to(owners[cut, None, None], label.shape)
+        hits[owner[inside[cut]], label[inside[cut]]] = True
     empty = np.flatnonzero(~hits[:, 1:].any(axis=1))
     if len(empty):
         raise ResolutionTooCoarse(

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -302,13 +303,16 @@ class TestRejectedFlags:
             for value in ("nan", "-0.5", "-1", "inf", "-inf", "x")
         ]
         + [("overdamped", ["--epsilon", value]) for value in ("nan", "-0.1", "1", "inf", "x")]
-        + [("plot", ["--json"])],  # plot prints no report
+        + [("plot", ["--json"])]  # plot prints no report
+        + [("gen", ["--gamma", value]) for value in ("nan", "inf", "-inf", "-1")],
     )
     def test_exit_2_naming_the_flag(self, tmp_path, capsys, command, flags):
         named = [word for word in flags if word.startswith("--")][-1]
         path = write_scalar(tmp_path, 1, 1, 1)
-        argv = [command, "--input", str(path)] + flags
-        if command == "plot":
+        argv = [command] + flags
+        if command != "gen":  # gen writes a system and reads none
+            argv += ["--input", str(path)]
+        if command in ("plot", "gen"):
             argv += ["--output", str(tmp_path / "x.svg")]
         try:
             code = cli.main(argv)
@@ -345,6 +349,37 @@ class TestRejectedValues:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err and "--seed" in captured.err
         assert not out.exists()
+
+    def test_gen_gamma_overflow(self, tmp_path, capsys):
+        out = tmp_path / "sys.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["gen", "--output", str(out), "--gamma", "1e308"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "gamma" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--extension", "1e160"], ["--method", "MODAL_DISK_NORM", "--extension", "1e308"]],
+        ids=["ovals", "disks"],
+    )
+    def test_plot_box_not_finite(self, tmp_path, capsys, flags):
+        # regions report such extensions; a figure of them has no finite box
+        path = tmp_path / "sys.json"
+        save_system(cli.random_system(3, 1), path)
+        svg = tmp_path / "x.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["regions", "--input", str(path)] + flags) == 0
+            capsys.readouterr()
+            code = cli.main(["plot", "--input", str(path), "--output", str(svg)] + flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "not finite" in captured.err
+        assert not svg.exists()
 
     @pytest.mark.parametrize("command", ["regions", "plot"])
     def test_zero_extension_accepted(self, tmp_path, capsys, command):

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import os
 import re
 import subprocess
@@ -117,6 +116,25 @@ KINDS = [
 ]
 
 
+# one union of each kind, degenerate primitives (bare foci, zero radius,
+# zero bound) among live ones, with a modified oval among the quasi ovals
+KIND_UNIONS = [
+    (Disk(-1.5 + 0.2j, 0.7), Disk(0.5j, 0.0), Disk(1.0 - 0.5j, 1.2), Disk(-1.5 + 0.2j, 0.0)),
+    (
+        QuasiOval(0.5j, -0.5j, 0.0),
+        QuasiOval(-0.3 + 1.2j, -0.3 - 1.2j, 0.4),
+        QuasiOval(-1.0 + 0j, -2.5 + 0j, 0.0),
+        QuasiOval(-1.0 + 0j, -2.5 + 0j, 0.3, 0.1),
+    ),
+    (
+        DoubleOval((1j, -1j, -1.0 + 0j, -2.0 + 0j), 0.2),
+        DoubleOval((1j, -1j, 2j, -2j), 0.0),
+        DoubleOval((-0.5 + 1j, -0.5 - 1j, -0.2 + 2j, -0.2 - 2j), 1.5),
+        DoubleOval((1j, -1j, -1.0 + 0j, -2.0 + 0j), 0.0),
+    ),
+]
+
+
 def grid_points(count, seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(-3, 3, count) + 1j * rng.uniform(-3, 3, count)
@@ -156,13 +174,14 @@ class TestMargin:
             assert p.contains(z) == (p.margin(np.array([z]))[0] >= 0.0)
 
     def test_best_margin_is_first_column_max(self):
-        u = RegionUnion(Method.MODAL_OVAL_NORM, tuple(KINDS), tuple((j,) for j in range(4)))
         z = grid_points(5000, 6)
-        stacked = np.stack([p.margin(z) for p in KINDS])
-        best, index = u.best_margin(z)
-        assert np.array_equal(best, stacked.max(axis=0))
-        assert np.array_equal(index, np.argmax(stacked, axis=0))
-        assert np.array_equal(u.membership_many(z), (stacked >= 0.0).any(axis=0))
+        for prims in KIND_UNIONS:
+            u = RegionUnion(Method.MODAL_OVAL_NORM, prims, tuple((j,) for j in range(len(prims))))
+            stacked = np.stack([p.margin(z) for p in prims])
+            best, index = u.best_margin(z)
+            assert np.array_equal(best, stacked.max(axis=0))
+            assert np.array_equal(index, np.argmax(stacked, axis=0))
+            assert np.array_equal(u.membership_many(z), (stacked >= 0.0).any(axis=0))
 
     def test_best_margin_ties_go_to_first_index(self):
         twin = Disk(0j, 1.0)
@@ -221,21 +240,19 @@ class TestPackedUnion:
         assert_stacked_max(u, audit_points(u, form, seed=4))
 
     def test_mixed_kinds(self):
-        prims = tuple(KINDS) + tuple(reversed(KINDS))
-        u = RegionUnion(Method.MODAL_OVAL_NORM, prims, tuple((j,) for j in range(len(prims))))
-        assert_stacked_max(u, grid_points(3000, 8))
-        assert_stacked_max(u, grid_points(60, 9).reshape(3, 4, 5))
+        # each kind's degenerate and live primitives, repeated in reverse
+        for kind in KIND_UNIONS:
+            prims = kind + kind[::-1]
+            u = RegionUnion(Method.MODAL_OVAL_NORM, prims, tuple((j,) for j in range(len(prims))))
+            assert_stacked_max(u, grid_points(3000, 8))
+            assert_stacked_max(u, grid_points(60, 9).reshape(3, 4, 5))
 
-    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-    def test_ties_across_kinds_go_to_the_lowest_index(self, order):
-        # all three margins are exactly 1.0 at z = 1j
-        tied = [Disk(1j, 1.0), QuasiOval(1j, -1j, 0.0, 1.0), DoubleOval((1j, -1j, 2j, 3j), 1.0)]
-        prims = (Disk(5.0 + 0j, 0.1),) + tuple(tied[k] for k in order)
-        u = RegionUnion(Method.MODAL_OVAL_NORM, prims, tuple((j,) for j in range(4)))
-        assert all(p.margin(1j) == 1.0 for p in tied)
-        best, index = u.best_margin(np.array([1j, 5.0 + 0j]))
-        assert best[0] == 1.0 and index[0] == 1
-        assert index[1] == 0
+    def test_one_kind_per_union(self):
+        for prims in ((Disk(0j, 1.0), QuasiOval(1j, -1j, 0.3)), tuple(KINDS)):
+            with pytest.raises(InputError, match="primitives of one kind"):
+                RegionUnion(Method.MODAL_OVAL_NORM, prims, ((0,),) * len(prims))
+        with pytest.raises(InputError, match="at least one primitive"):
+            RegionUnion(Method.MODAL_OVAL_NORM, (), ())
 
     def test_point_counts_around_the_chunk(self):
         u, form = system_union(12, Method.BRAUER, seed=5)
@@ -243,9 +260,8 @@ class TestPackedUnion:
         z = audit_points(u, form, count=chunk + 1, seed=6)[: chunk + 1]
         for count in (0, 1, chunk - 1, chunk, chunk + 1):
             assert_stacked_max(u, z[:count])
-        mixed = RegionUnion(
-            Method.MODAL_OVAL_NORM, tuple(u.primitives) + tuple(KINDS), tuple(u.mode_labels) + ((0,),) * 4
-        )
+        mixed = with_degenerate(u)
+        chunk = regions.CHUNK_ELEMENTS // len(mixed.primitives)
         for count in (0, 1, chunk - 1, chunk, chunk + 1):
             assert_stacked_max(mixed, z[:count])
 
@@ -296,14 +312,17 @@ class TestPackedUnion:
         coord = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
         point = st.builds(complex, coord, coord)
         size = st.floats(0.0, 4.0, allow_nan=False, allow_subnormal=False)
-        primitive = st.one_of(
-            st.builds(Disk, point, size),
-            st.builds(QuasiOval, point, point, size, size),
-            st.builds(DoubleOval, st.tuples(point, point, point, point), size),
+        primitive = st.sampled_from(
+            [
+                st.builds(Disk, point, size),
+                st.builds(QuasiOval, point, point, size, size),
+                st.builds(DoubleOval, st.tuples(point, point, point, point), size),
+            ]
         )
+        one_kind = primitive.flatmap(lambda kind: st.lists(kind, min_size=1, max_size=12))
 
         @hypothesis.settings(max_examples=200, deadline=None)
-        @hypothesis.given(st.lists(primitive, min_size=1, max_size=12), st.lists(point, max_size=30))
+        @hypothesis.given(one_kind, st.lists(point, max_size=30))
         def check(prims, zs):
             u = RegionUnion(Method.MODAL_OVAL_NORM, tuple(prims), tuple((0,) for _ in prims))
             assert tuple(u.primitives) == tuple(prims)
@@ -590,15 +609,10 @@ class TestBoundaryPolyline:
     @pytest.mark.parametrize("resolution", [32, 33, 64, 512])
     @pytest.mark.parametrize("n,seed", [(1, 0), (3, 2), (6, 4)])
     def test_unions_equal_the_full_grid_tracer(self, n, seed, resolution):
-        # every method's union, the bare foci with disks, and one union of
-        # all three kinds interleaved with degenerate primitives: each
-        # primitive's loops are the full grid's, in the union's order
-        unions = all_unions(n, seed)
-        mixed = [p for u in unions for p in u.primitives[:3]]
-        mixed += [QuasiOval(0.5j, -0.5j, 0.0), Disk(1.0 + 0j, 0.0), DoubleOval((1j, -1j, 2j, -2j), 0.0)]
-        mixed = mixed[::2] + mixed[1::2]
-        unions.append(RegionUnion(Method.MODAL_OVAL_NORM, mixed, [(0,)] * len(mixed)))
-        for u in unions:
+        # every method's union and a union of each kind with degenerate
+        # primitives among live ones: each primitive's loops are the full
+        # grid's, in the union's order
+        for u in all_unions(n, seed):
             traced = boundary_polylines(u, resolution)
             assert len(traced) == len(u.primitives)
             for p, loops in zip(u.primitives, traced):
@@ -734,7 +748,7 @@ class TestBoundaryPolyline:
             for kind, rows, xs, ys, levels in calls:
                 grids = []
                 for row, gx, gy in zip(rows.tolist(), xs, ys):
-                    p = kind.item(row)
+                    p = kind[row]
                     assert not p.is_degenerate
                     box = p.bounding_box().padded(0.05)
                     assert np.array_equal(gx, np.linspace(box.xmin, box.xmax, resolution + 1))
@@ -822,7 +836,7 @@ def scaled_kinds(s):
         [QuasiOval(s * p.focus_plus, s * p.focus_minus, s * p.r, s * s * p.q) for p in kinds[1]],
         [DoubleOval(tuple(s * f for f in p.foci), s * s * p.bound) for p in kinds[2]],
     ]
-    return [regions._Primitives.pack(prims).kinds[0] for prims in scaled]
+    return [regions._pack(prims) for prims in scaled]
 
 
 class TestVariation:
@@ -834,7 +848,7 @@ class TestVariation:
         # from 1e-6 to 1e3 times the scale
         kind = scaled_kinds(s)[which]
         rng = np.random.default_rng(which)
-        foci = np.array([f for i in range(len(kind)) for f in kind.item(i).foci])
+        foci = np.array([f for p in kind for f in p.foci])
         count = 400
         jitter = s * 1e-9 * (rng.normal(size=count) + 1j * rng.normal(size=count))
         z0 = np.concatenate(
@@ -897,10 +911,21 @@ def full_grid_components(u, resolution):
     return tuple(components), labels
 
 
+def with_degenerate(u):
+    """The primitives of u, each after a degenerate copy (bare foci, zero
+    radius or zero bound) of one of them in reverse order."""
+    live, labels = tuple(u.primitives), tuple(u.mode_labels)
+    fields = ("radius", "r", "q", "bound")
+    bare = [dataclasses.replace(p, **{f: 0.0 for f in fields if hasattr(p, f)}) for p in live]
+    prims = [q for pair in zip(bare[::-1], live) for q in pair]
+    return RegionUnion(u.method, prims, [m for pair in zip(labels[::-1], labels) for m in pair])
+
+
 def all_unions(n, seed):
-    """The union of every method that builds for random_system(n, seed),
-    and a mixed one: the bare foci of its MODAL_OVAL_NORM ovals with its
-    MODAL_DISK_ROWSUM disks."""
+    """The union of every method that builds for random_system(n, seed), and
+    one union of each kind with degenerate primitives among live ones: its
+    MODAL_OVAL_NORM ovals, its MODAL_DISK_ROWSUM disks (UNDAMPED_DISK_NORM
+    where a critical mode refuses those) and its BRAUER double ovals."""
     form = to_modal(random_system(n, seed))
     unions = []
     for method in Method:
@@ -909,13 +934,9 @@ def all_unions(n, seed):
         except CriticalModePresent:
             continue
     by_method = {u.method: u for u in unions}
-    ovals, disks = by_method[Method.MODAL_OVAL_NORM], by_method.get(Method.MODAL_DISK_ROWSUM)
-    prims = [dataclasses.replace(p, r=0.0) for p in ovals.primitives]
-    labels = list(ovals.mode_labels)
-    if disks is not None:
-        prims += disks.primitives
-        labels += disks.mode_labels
-    unions.append(RegionUnion(Method.MODAL_OVAL_NORM, prims, labels))
+    disks = by_method.get(Method.MODAL_DISK_ROWSUM, by_method[Method.UNDAMPED_DISK_NORM])
+    for u in (by_method[Method.MODAL_OVAL_NORM], disks, by_method[Method.BRAUER]):
+        unions.append(with_degenerate(u))
     return unions
 
 
