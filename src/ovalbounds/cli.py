@@ -349,6 +349,9 @@ def _cmd_verify(args) -> int:
         audit = check_inclusion(spectrum, union)
         report[f"{name}.all_contained"] = audit.all_contained
         report[f"{name}.min_margin"] = audit.min_margin
+        report[f"{name}.worst_eigenvalue"] = audit.worst
+        k = audit.assigned[audit.worst]
+        report[f"{name}.worst_modes"] = None if k is None else list(union.mode_labels[k])
         if union.rigorous and not audit.all_contained:
             failed = True
     _emit(report, args.json)

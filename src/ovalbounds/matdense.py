@@ -155,13 +155,16 @@ def gen_sym_def_eig(K: SymMatrix, M: SymMatrix) -> tuple[np.ndarray, np.ndarray]
 
     Returns ascending squared frequencies ``w2`` and the matrix ``Phi`` with
     Phi.T M Phi = I and Phi.T K Phi = diag(w2).  Reduction is the standard
-    Cholesky congruence M = L L.T, eigendecomposition of L^-1 K L^-T.
+    Cholesky congruence M = L L.T, eigendecomposition of L^-1 K L^-T.  A
+    smallest squared frequency at or below n * eps * max|w2| raises
+    :class:`NonPositiveFrequency`; the floor scales with K, so K and s^2 K
+    get the same verdict.
     """
     L = cholesky(M, "M")
     X = scipy.linalg.solve_triangular(L, _as_array(K), lower=True)
     A = scipy.linalg.solve_triangular(L, X.T, lower=True).T
     w2, V = sym_eig(SymMatrix(0.5 * (A + A.T)))
-    floor = K.array.shape[0] * np.finfo(float).eps * max(np.max(np.abs(w2)), 1.0)
+    floor = K.array.shape[0] * np.finfo(float).eps * np.max(np.abs(w2))
     if w2[0] <= floor:
         raise NonPositiveFrequency(f"squared frequency {w2[0]:.3e} is not positive")
     Phi = scipy.linalg.solve_triangular(L.T, V, lower=False)

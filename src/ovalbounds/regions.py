@@ -165,6 +165,25 @@ BLOCK_CELLS = 4
 #: well above the few ulps of each of the two margins and of the bound.
 _ROUNDING = 256 * np.finfo(float).eps
 
+#: Modes from which a BRAUER union's ``best_margin`` searches each point's
+#: Pareto front of modes instead of the table of all pairs.  At the 2n
+#: eigenvalues of ``cli.random_system(n, s)``, s = 0 to 3, the table took
+#: 0.73 ms against the front's 0.86 ms at n = 44 and 1.23 against 0.97 ms
+#: at n = 52 (2 vCPU, one BLAS thread; 12 against 78 ms at n = 200).
+FRONT_ORDER = 48
+
+#: A pair evaluated on its own costs about as much as this many entries of
+#: the table: with every mode in S (``_front_best_margin``), BRAUER at
+#: n = 60 and 200 took 12 to 14 times the table's time.  A point whose S
+#: holds more than len / _PAIR_COST pairs goes through the table.
+_PAIR_COST = 16
+
+#: The moduli |z| and focus distances, and the square roots of the radii,
+#: that the Pareto-front search takes: 0 or within these limits, so that
+#: every product of up to four of them stays a normal float.  Other points
+#: go through the table.
+_FRONT_RANGE = (2.0**-150, 2.0**150)
+
 
 def _quiet() -> np.errstate:
     """Margins at nan, infinite or huge points (|z| beyond about 1e154) come
@@ -172,6 +191,13 @@ def _quiet() -> np.errstate:
     every primitive, which is the right answer, so the kinds' evaluations
     run with these warnings off."""
     return np.errstate(invalid="ignore", over="ignore")
+
+
+def _moderate(x, scale: int = 1) -> np.ndarray:
+    """Where x is 0 or within ``_FRONT_RANGE`` raised to ``scale`` (False at
+    nan)."""
+    lo, hi = (edge**scale for edge in _FRONT_RANGE)
+    return (x == 0.0) | ((x >= lo) & (x <= hi))
 
 
 def _cols(rows, *arrays):
@@ -323,13 +349,22 @@ class _DoubleOvals(_Kind):
     """Double ovals as a per-mode focus table (plus, minus), each primitive's
     two table rows (a, b) and its bound: foci plus[a], minus[a], plus[b],
     minus[b].  The distances to the table's foci are taken once per chunk
-    and gathered for the pairs."""
+    and gathered for the pairs.
+
+    ``radii`` marks the product form that ``build_regions`` makes for n >= 2
+    modes: the pairs a < b in ``np.triu_indices`` order, with bounds
+    radii[a] * radii[b].  From FRONT_ORDER modes on, its ``best_margin``
+    evaluates only the pairs that each point's Pareto front of modes leaves
+    open (``_front_best_margin``); packed primitive values keep the table.
+    """
 
     primitive = DoubleOval
 
-    def __init__(self, plus, minus, a, b, bound):
+    def __init__(self, plus, minus, a, b, bound, radii=None):
         self.plus, self.minus, self.a, self.b = plus, minus, a, b
-        self.bound, self._len = bound, len(bound)
+        self.bound, self._len, self.radii = bound, len(bound), radii
+        if radii is not None:
+            self._by_radius = np.argsort(-radii, kind="stable")
 
     @classmethod
     def pack(cls, prims):
@@ -354,9 +389,10 @@ class _DoubleOvals(_Kind):
 
     def margins(self, z, rows=None):
         # A table multiplies each mode's two distances before gathering
-        # them; gathering all four as pairs do gives the same values but
-        # slowed the BRAUER audit (verify at n = 200, one point per chunk
-        # against 19 900 primitives) by about 4 % end to end.
+        # them.  Gathering all four as pairs do gives the same values, but
+        # it slowed the table's main caller, ``_certify`` in the sampled
+        # memberships of ``compare_regions`` (BRAUER against
+        # MODAL_OVAL_ROWSUM at n = 3 to 12, 200 000 samples), by 2 to 5 %.
         if rows is None:
             dplus = np.abs(z - self.plus[:, None])
             dminus = np.abs(z - self.minus[:, None])
@@ -403,6 +439,140 @@ class _DoubleOvals(_Kind):
         allowance *= _ROUNDING
         spread += allowance
         return spread
+
+    def best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """As ``_Kind.best_margin``; a product form of FRONT_ORDER modes or
+        more goes through ``_front_best_margin``, with the same result."""
+        if self.radii is None or len(self.radii) < FRONT_ORDER:
+            return super().best_margin(z)
+        return self._front_best_margin(z)
+
+    def _front_best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """The table's ``best_margin`` of the product form, bit for bit, from
+        each point's Pareto front of modes.
+
+        A pair's margin separates: m_ab = s r_a r_b - P_a P_b, with s = |z|^2,
+        r = ``radii`` >= 0 and P_k = |z - plus[k]| |z - minus[k]| >= 0, so it
+        grows with r_b and falls with P_b.  Take the modes in order of
+        descending radius, ties by index; the front F holds each mode whose
+        P is below that of every mode before it.  Every mode b then has a c
+        in F with r_c >= r_b and P_c <= P_b, and row a's bound
+
+            R_a = max over c in F of (1 + g) s r_a r_c - (1 - g) P_a P_c,
+
+        g = _ROUNDING, is at least the computed margin of every pair that
+        holds a.  Proof: where |z| and the focus distances are 0 or within
+        ``_FRONT_RANGE`` and the radii within its square, no product of them
+        underflows or overflows, so each computed factor is within a few
+        ulps of its exact value.  With u = eps / 2, the table's computed m_ab
+        is then at most (1 + 11u) s r_a r_b - (1 - 16u) P_a P_b, and so at
+        most (1 + 11u) s r_a r_c - (1 - 30u) P_a P_c for the c that covers b,
+        as F compares the computed P.  The computed terms of R_a, off by a
+        few ulps, still bound these two, as g = 512u; the margin is a float,
+        so R_a's last rounding cannot take it below the margin.
+
+        L, the computed margin of the pair of the two largest R_a, is at most
+        the table's maximum.  So each pair whose computed margin attains that
+        maximum, ties included, has both modes in S = {a : R_a >= L}.  Only
+        the pairs within S are evaluated, by ``margins(z, rows)``, which
+        gives their table entries bit for bit; in the table's order, their
+        maximum and its first index are the table's.  Points outside the
+        range, nan and infinite ones among them, go through the table, and
+        so do points whose S holds more than len / _PAIR_COST pairs, where
+        the table is faster.
+        """
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        if not _moderate(self.radii, 2).all():
+            return super().best_margin(z)
+        best = np.empty(len(flat))
+        index = np.empty(len(flat), dtype=int)
+        step = max(1, CHUNK_ELEMENTS // len(self.radii))
+        with _quiet():
+            for lo in range(0, len(flat), step):
+                at = slice(lo, lo + step)
+                chunk = flat[at]
+                absz = np.abs(chunk)
+                dplus, dminus = (np.abs(chunk[:, None] - f) for f in (self.plus, self.minus))
+                ok = _moderate(absz) & _moderate(dplus).all(axis=1) & _moderate(dminus).all(axis=1)
+                if ok.any():
+                    best[at][ok], index[at][ok] = self._front(
+                        chunk[ok], absz[ok] ** 2, dplus[ok] * dminus[ok]
+                    )
+                if not ok.all():
+                    best[at][~ok], index[at][~ok] = super().best_margin(chunk[~ok])
+        return best.reshape(z.shape), index.reshape(z.shape)
+
+    def _front(self, z, s, P) -> tuple[np.ndarray, np.ndarray]:
+        """``_front_best_margin`` at in-range points z, with s = |z|^2 and
+        the modes' products P as (points, modes)."""
+        r, order = self.radii, self._by_radius
+        points = np.arange(len(z))
+        # the front in order of radius: where P falls below every earlier P
+        Pr = P[:, order]
+        front = np.ones(Pr.shape, dtype=bool)
+        np.less(Pr[:, 1:], np.minimum.accumulate(Pr[:, :-1], axis=1), out=front[:, 1:])
+        # by descending front size, the points with a t-th front mode are a
+        # prefix; cols[k, t] is the t-th front mode's position in the order
+        count = np.count_nonzero(front, axis=1)
+        by_size = np.argsort(-count, kind="stable")
+        count = count[by_size]
+        pt, j = np.nonzero(front[by_size])
+        cols = np.zeros((len(z), count[0]), dtype=np.intp)
+        cols[pt, np.arange(len(pt)) - np.repeat(np.cumsum(count) - count, count)] = j
+        modes = order[cols]
+        Ps = P[by_size]
+        up = (1.0 + _ROUNDING) * s[by_size, None] * r[modes]
+        down = (1.0 - _ROUNDING) * np.take_along_axis(Ps, modes, axis=1)
+        Rs = r * up[:, :1] - Ps * down[:, :1]
+        for t in range(1, count[0]):
+            k = np.count_nonzero(count > t)
+            np.maximum(Rs[:k], r * up[:k, t : t + 1] - Ps[:k] * down[:k, t : t + 1], out=Rs[:k])
+        R = np.empty_like(Rs)
+        R[by_size] = Rs
+
+        first = np.argmax(R, axis=1)
+        top = R[points, first]
+        R[points, first] = -np.inf
+        second = np.argmax(R, axis=1)
+        R[points, first] = top
+        index = self._pair(np.minimum(first, second), np.maximum(first, second))
+        best = self.margins(z, index)
+        # the pairs within each point's S, in groups of points of about
+        # CHUNK_ELEMENTS pairs; where S is L's pair alone, L is the maximum
+        pt, a = np.nonzero(R >= best[:, None])
+        count = np.bincount(pt, minlength=len(z))
+        table = count * (count - 1) // 2 * _PAIR_COST > len(self)
+        count[(count == 2) | table] = 0
+        more = count[pt] > 0
+        pt, a = pt[more], a[more]
+        group = np.cumsum(count * (count - 1) // 2) // CHUNK_ELEMENTS
+        for g in np.unique(group[pt]).tolist():
+            mine = group[pt] == g
+            at, pairs = self._pairs_within(pt[mine], a[mine])
+            m = self.margins(z[at], pairs)
+            heads = np.flatnonzero(np.diff(at, prepend=-1))
+            done = at[heads]
+            best[done] = np.maximum.reduceat(m, heads)
+            index[done] = np.minimum.reduceat(np.where(m == best[at], pairs, len(self)), heads)
+        if table.any():
+            best[table], index[table] = super().best_margin(z[table])
+        return best, index
+
+    def _pairs_within(self, pt, a):
+        """For sets of modes a given point by point (pt ascending, a
+        ascending within a point), each set's pairs in the table's order:
+        their points and pair indices."""
+        start = np.flatnonzero(np.diff(pt, prepend=-1))
+        size = np.diff(np.append(start, len(pt)))
+        later = np.repeat(size, size) - (np.arange(len(pt)) - np.repeat(start, size)) - 1
+        head = np.repeat(np.arange(len(pt)), later)
+        tail = head + 1 + np.arange(len(head)) - np.repeat(np.cumsum(later) - later, later)
+        return pt[head], self._pair(a[head], a[tail])
+
+    def _pair(self, a, b):
+        """Index of the pair a < b in ``np.triu_indices`` order."""
+        return a * (2 * len(self.radii) - a - 1) // 2 + b - a - 1
 
 
 def _pack(prims) -> _Kind:
@@ -694,7 +864,7 @@ def build_regions(
             # a single mode has no pair; its bound rsum[0]^2 is 0, leaving the
             # double oval as the bare foci
             a, b = np.triu_indices(n, 1) if n > 1 else (np.zeros(1, dtype=int),) * 2
-            doubles = _DoubleOvals(plus, minus, a, b, rsum[a] * rsum[b])
+            doubles = _DoubleOvals(plus, minus, a, b, rsum[a] * rsum[b], rsum if n > 1 else None)
             return RegionUnion(method, doubles, _ModeLabels(a, b))
         if method.name.startswith("MODAL_DISK"):
             if foci.any_critical:
@@ -796,8 +966,9 @@ def _trace(kind: _Kind, rows, boxes, resolution: int) -> list[list[np.ndarray]]:
     # negated margins at the undecided leaves' nodes; exact zeros count as
     # inside, so boundaries through nodes still trace
     Gs = np.empty((len(leaves[0]), BLOCK_CELLS + 1, BLOCK_CELLS + 1))
-    for at, z, prim in _leaf_points(rows, xs, ys, leaves, 1):
-        Gs[at] = kind.margins(z, prim)
+    with _quiet():
+        for at, z, prim in _leaf_points(rows, xs, ys, leaves, 1):
+            Gs[at] = kind.margins(z, prim)
     np.negative(Gs, out=Gs)
     Gs[Gs == 0.0] = -np.finfo(float).tiny
     keys, end_leaf = _segment_ends(Gs, leaves, w)
@@ -1027,8 +1198,9 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
         whole.reshape(top // f, f, top // f, f)[j0 // size, :, i0 // size, :] = True
     leaves = tuple(level[:, verdict == 0])
     inside = np.empty((len(leaves[0]), B, B), dtype=bool)
-    for at, z, prim in _leaf_points(rows, xs, ys, leaves, 0):
-        inside[at] = kind.margins(z, prim) >= 0.0
+    with _quiet():
+        for at, z, prim in _leaf_points(rows, xs, ys, leaves, 0):
+            inside[at] = kind.margins(z, prim) >= 0.0
     owners, by, bx = rows[leaves[0]], leaves[1] // B, leaves[2] // B
     # unbuffered, as a leaf may be undecided for several primitives
     np.logical_or.at(blocks, (by, slice(None), bx, slice(None)), inside)

@@ -50,13 +50,16 @@ class InclusionReport:
     """Per-eigenvalue containment audit for one region union.
 
     margin is the best (largest) normalized slack over the primitives;
-    a negative margin beyond the boundary tolerance is a violation.
+    a negative margin beyond the boundary tolerance is a violation.  worst
+    is the index of the eigenvalue of least margin (the first one on a
+    tie), None when there are no eigenvalues.
     """
 
     method: str
     assigned: tuple[int | None, ...]
     margins: np.ndarray
     all_contained: bool
+    worst: int | None
 
     def __post_init__(self):
         object.__setattr__(self, "margins", _readonly(self.margins))
@@ -81,7 +84,8 @@ def check_inclusion(spec: Spectrum, u: RegionUnion) -> InclusionReport:
         int(k) if m >= -BOUNDARY_TOL else None for k, m in zip(index, margins)
     )
     all_contained = all(a is not None for a in assigned)
-    return InclusionReport(u.method.value, assigned, margins, all_contained)
+    worst = int(np.argmin(margins)) if len(margins) else None
+    return InclusionReport(u.method.value, assigned, margins, all_contained, worst)
 
 
 @dataclass(frozen=True)

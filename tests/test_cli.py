@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -43,6 +44,20 @@ class TestGen:
         from ovalbounds.overdamped import exact_definiteness_interval
 
         assert not exact_definiteness_interval(load_system(out)).empty
+
+    def test_outputs_pinned(self, tmp_path, capsys):
+        # the 120 systems of gen --n k --seed s, k = 1..12, s = 0..4, plain
+        # and overdamped, byte for byte
+        digest = hashlib.sha256()
+        out = tmp_path / "sys.json"
+        for flags in ([], ["--overdamped"]):
+            for k in range(1, 13):
+                for s in range(5):
+                    argv = ["gen", "--n", str(k), "--seed", str(s), "--output", str(out)]
+                    assert cli.main(argv + flags) == 0
+                    digest.update(out.read_bytes())
+        expect = "e56eba1c2d40bfa039c5e07ad1a47ddeb889a13e8df8c75ba489ab388ae43ba7"
+        assert digest.hexdigest() == expect
 
 
 class TestOverdampedCommand:
@@ -183,6 +198,16 @@ class TestPlotCommand:
         assert text.count("<path") >= 2  # two oval loops plus eigenvalue crosses
         assert ">Re<" in text and ">Im<" in text
 
+    def test_huge_extension_traces_without_overflow_warnings(self, tmp_path, capsys):
+        # margins near |z| = 1e154 overflow to -inf, outside every oval; the
+        # suite turns a RuntimeWarning into an error
+        path = tmp_path / "sys.json"
+        assert cli.main(["gen", "--n", "3", "--seed", "1", "--output", str(path)]) == 0
+        argv = ["plot", "--input", str(path), "--output", str(tmp_path / "x.svg")]
+        argv += ["--method", "MODAL_OVAL_NORM", "--extension", "1e154"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_svg_path_formats_each_coordinate_as_f6(self):
         # one %-format over the loop against the per-vertex f-strings it replaced
         rng = np.random.default_rng(0)
@@ -257,6 +282,30 @@ class TestVerifyCommand:
         assert code == 3
         report = json.loads(capsys.readouterr().out)
         assert report["MODAL_OVAL_NORM.all_contained"] is False
+        assert report["MODAL_OVAL_NORM.worst_modes"] is None
+
+    def test_names_the_worst_eigenvalue(self, tmp_path, capsys):
+        from ovalbounds.modal import modal_split, mode_foci, to_modal
+        from ovalbounds.regions import build_regions
+        from ovalbounds.verify import check_inclusion, true_spectrum
+
+        out = tmp_path / "sys.json"
+        cli.main(["gen", "--output", str(out), "--n", "5", "--seed", "3"])
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", str(out), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        form = to_modal(load_system(out))
+        split = modal_split(form)
+        spectrum = true_spectrum(form)
+        for method in (Method.BRAUER, Method.MODAL_OVAL_NORM, Method.UNDAMPED_DISK_NORM):
+            union = build_regions(form, split, mode_foci(form, split), method)
+            audit = check_inclusion(spectrum, union)
+            worst = int(np.argmin(audit.margins))
+            assert report[f"{method.value}.worst_eigenvalue"] == audit.worst == worst
+            modes = list(union.mode_labels[audit.assigned[worst]])
+            assert report[f"{method.value}.worst_modes"] == modes
+        keys = [k for k in report if k.startswith("BRAUER.")]
+        assert keys == [f"BRAUER.{k}" for k in ("all_contained", "min_margin", "worst_eigenvalue", "worst_modes")]
 
 
     def test_each_norm_computed_once(self, tmp_path, capsys, monkeypatch):
@@ -494,6 +543,12 @@ class TestErrorPaths:
         path = tmp_path / "tiny.json"
         path.write_text('{"n": 1, "M": [1e-16], "C": [0], "K": [1e-16]}')
         assert cli.main([command, "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_tiny_frequency_loads(self, tmp_path, capsys):
+        # omega = 1e-8 is positive at its own scale: the floor is relative
+        path = write_scalar(tmp_path, 1, 1e-8, 1e-16)
+        assert cli.main(["analyze", "--input", str(path)]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(

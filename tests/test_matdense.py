@@ -281,6 +281,27 @@ class TestGenSymDefEig:
         with pytest.raises(NonPositiveFrequency):
             gen_sym_def_eig(SymMatrix(np.diag([1.0, -1.0])), SymMatrix(np.eye(2)))
 
+    def test_refusal_invariant_under_power_of_two_scaling(self):
+        # K -> s^2 K scales every squared frequency by s^2, and the floor too
+        from ovalbounds.errors import NonPositiveFrequency
+
+        def refused(K, M):
+            try:
+                gen_sym_def_eig(SymMatrix(K), M)
+            except NonPositiveFrequency:
+                return True
+            return False
+
+        systems = [random_system(n, seed) for n in (1, 2, 4, 8) for seed in range(5)]
+        cases = [(sys_.K.array, sys_.M) for sys_ in systems]
+        cases.append((np.diag([1e-17, 1.0]), SymMatrix(np.eye(2))))
+        verdicts = []
+        for K, M in cases:
+            verdicts.append(refused(K, M))
+            for k in range(-40, 1):
+                assert refused(2.0 ** (2 * k) * K, M) == verdicts[-1], k
+        assert verdicts == [False] * len(systems) + [True]
+
 
 class TestComplexEig:
     """Complex eigenvalues of a general real matrix, from the sorted LAPACK

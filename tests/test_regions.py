@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 import re
@@ -13,7 +14,7 @@ from ovalbounds import cli, regions
 from ovalbounds.errors import CriticalModePresent, InputError, ResolutionTooCoarse
 from ovalbounds.matdense import SymMatrix, spectral_norm
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, quadratic_roots, to_modal
-from ovalbounds.verify import RegionComparison, compare_regions, true_spectrum
+from ovalbounds.verify import RegionComparison, check_inclusion, compare_regions, true_spectrum
 from ovalbounds.regions import (
     RIGOROUS_METHODS,
     Disk,
@@ -330,6 +331,114 @@ class TestPackedUnion:
             assert_stacked_max(u, np.array(zs + [p.foci[0] for p in prims], dtype=complex))
 
         check()
+
+
+class TestFrontSearch:
+    """The BRAUER audit over each point's Pareto front of modes against the
+    table of all pairs."""
+
+    @pytest.fixture
+    def front_only(self, monkeypatch):
+        """The front search from two modes on, never handing a point's S
+        to the table."""
+        monkeypatch.setattr(regions, "FRONT_ORDER", 2)
+        monkeypatch.setattr(regions, "_PAIR_COST", 0)
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_equals_the_stacked_margins(self, front_only, n):
+        u, form = system_union(n, Method.BRAUER, seed=n)
+        assert u.primitives.radii is not None
+        assert_stacked_max(u, audit_points(u, form, seed=n))
+
+    def test_ties_foci_and_float_limits(self, front_only):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coord = st.floats(-6.0, 6.0, allow_nan=False, allow_subnormal=False)
+        point = st.builds(complex, coord, coord)
+        # few distinct levels, so that modes repeat (equal P at every point)
+        omega = st.sampled_from([0.5, 1.0, 2.0, 3.5])
+        damping = st.sampled_from([0.0, 0.3, 1.0, 4.0])
+        limits = [np.nan, complex(np.nan, 1.0), np.inf, -np.inf, complex(0.0, np.inf)]
+        limits += [complex(np.inf, -np.inf), 1e200, 1e200j, 1e100, -1e100 + 1e100j, 0.0, 1e-200]
+
+        @st.composite
+        def unions(draw):
+            n = draw(st.integers(1, 9))
+            w = np.sort(draw(st.lists(omega, min_size=n, max_size=n)))
+            d = np.array(draw(st.lists(damping, min_size=n, max_size=n)))
+            coupling = draw(st.sampled_from(["diagonal", "equal", "random"]))
+            if coupling == "diagonal":  # zero row sums: bare foci
+                off = np.zeros((n, n))
+            elif coupling == "equal":  # equal row sums: ties in r
+                off = np.full((n, n), draw(st.sampled_from([0.05, 0.5, 2.0])))
+            else:
+                g = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((n, n))
+                off = 0.3 * (g + g.T)
+            np.fill_diagonal(off, d)
+            form, split, foci = pipeline(w, off)
+            return build_regions(form, split, foci, Method.BRAUER), foci
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(unions(), st.lists(point, max_size=20))
+        def check(built, zs):
+            u, foci = built
+            # at the foci P = 0 exactly
+            focal = list(foci.lambda_plus) + list(foci.lambda_minus)
+            z = np.array(zs + focal + limits, dtype=complex)
+            assert_stacked_max(u, z)
+            best, index = u.best_margin(z)
+            table = regions._Kind.best_margin(u.primitives, z)
+            assert best.tobytes() == table[0].tobytes()
+            assert np.array_equal(index, table[1])
+            assert np.isnan(best[-12:-6]).all() and np.isnan(best[-6:-4]).all()
+            assert np.all(best[-4:-2] == -np.inf)
+
+        check()
+
+    @pytest.mark.parametrize("pair_cost", [0, regions._PAIR_COST])
+    def test_every_mode_in_s(self, monkeypatch, pair_cost):
+        # 60 equal modes: every pair ties at every point
+        monkeypatch.setattr(regions, "_PAIR_COST", pair_cost)
+        form, split, foci = pipeline(np.ones(60), np.full((60, 60), 0.1) + 0.4 * np.eye(60))
+        u = build_regions(form, split, foci, Method.BRAUER)
+        assert_stacked_max(u, np.append(grid_points(100, 3), foci.lambda_plus[0]))
+
+    def test_pairs_evaluated_per_eigenvalue(self, monkeypatch):
+        # an operation count: a change that falls back to the table of all
+        # pairs fails here, not only in the benchmark's ops/s
+        real = regions._DoubleOvals.margins
+        pairs = collections.Counter()
+
+        def counted(kind, z, rows=None):
+            for v in np.ravel(z).tolist():
+                pairs[v] += len(kind) if rows is None else 1
+            return real(kind, z, rows)
+
+        monkeypatch.setattr(regions._DoubleOvals, "margins", counted)
+        for seed in range(5):
+            pairs.clear()
+            u, form = system_union(120, Method.BRAUER, seed=seed)
+            spectrum = true_spectrum(form)
+            check_inclusion(spectrum, u)
+            per_eigenvalue = [pairs[v] for v in spectrum.values.tolist()]
+            assert np.median(per_eigenvalue) <= 4
+            assert sum(pairs.values()) < 0.05 * len(u.primitives) * len(spectrum.values)
+
+    def test_table_below_front_order(self, monkeypatch):
+        calls = []
+        real = regions._DoubleOvals._front
+        monkeypatch.setattr(
+            regions._DoubleOvals, "_front", lambda *args: calls.append(1) or real(*args)
+        )
+        # sweep and figure systems (n <= 12) keep the table
+        assert regions.FRONT_ORDER > 12
+        for n, expect in ((regions.FRONT_ORDER - 1, 0), (regions.FRONT_ORDER, 1)):
+            calls.clear()
+            u, form = system_union(n, Method.BRAUER)
+            u.best_margin(true_spectrum(form).values)
+            assert len(calls) == expect
+            again = dataclasses.replace(u, primitives=tuple(u.primitives))
+            assert again.primitives.radii is None
 
 
 class TestBoundingBox:
@@ -1155,6 +1264,14 @@ class TestComponentAnalysis:
         assert left is not None and right is not None and left != right
         assert ca.components[left].modes == (0,)
         assert ca.components[right].modes == (1,)
+
+    def test_huge_extension_without_overflow_warnings(self):
+        # margins overflow to -inf near |z| = 1e154, outside every oval
+        form, split, foci = pipeline_of(to_modal(random_system(3, 1)))
+        u = build_regions(form, split, foci, Method.MODAL_OVAL_NORM)
+        prims = tuple(QuasiOval(p.focus_plus, p.focus_minus, 1e154) for p in u.primitives)
+        ca = component_analysis(RegionUnion(u.method, prims, u.mode_labels), 64)
+        assert len(ca.components) == 1
 
     def test_determinism(self):
         lp, lm = quadratic_roots(0.4, 1.0)
