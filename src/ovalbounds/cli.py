@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -204,9 +205,20 @@ def _render_text(report: dict) -> str:
     return "\n".join(out)
 
 
+def _json_value(value):
+    """``value`` with each non-finite float as the text report prints it,
+    since strict JSON has no NaN or infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _f17(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        strict = {key: _json_value(value) for key, value in report.items()}
+        print(json.dumps(strict, indent=2, allow_nan=False))
     else:
         print(_render_text(report))
 

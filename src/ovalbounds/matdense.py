@@ -7,7 +7,6 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,12 +266,24 @@ def save_system(sys: DampedSystem, path) -> None:
 
 
 def load_system(path) -> DampedSystem:
-    """Read a system file written by :func:`save_system` (or by hand)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    """Read a system file written by :func:`save_system` (or by hand).
+
+    The file is parsed as strict JSON (RFC 8259, UTF-8): ``NaN``,
+    ``Infinity`` and numbers beyond the double range are invalid.  Integers
+    beyond 64 bits load as the nearest double.
+    """
+    import orjson  # loaded only here: library callers need not read files
+
+    with open(path, "rb") as fh:
+        text = fh.read()
+    # orjson recurses once per nesting level with no limit, so a document
+    # nested some 10^5 deep overflows the C stack; a system file opens 4
+    if text.count(b"[") + text.count(b"{") > 1024:
+        raise InputError(f"{path}: more than 1024 '[' and '{{' in the file, a system file has 4")
+    try:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     for key in ("n", "M", "C", "K"):

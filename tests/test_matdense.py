@@ -1,8 +1,14 @@
+import decimal
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ovalbounds import cli
 from ovalbounds.errors import InputError, NotPositiveDefinite
 from ovalbounds.matdense import (
     DampedSystem,
@@ -382,14 +388,73 @@ class TestDampedSystem:
             )
 
 
+def _bits(values) -> np.ndarray:
+    """The values' IEEE bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _hard_decimals(rng) -> list[str]:
+    """Decimal texts a parser must round correctly: the .17g text of random
+    finite bit patterns (subnormals and both zeros among them), 18-25-digit
+    roundings of binary halfway points from below and above, halfway points
+    that are exact 19-25-digit integers, and the ends of the double range."""
+    patterns = rng.integers(0, 2**64, 120_000, dtype=np.uint64, endpoint=False)
+    patterns[:10_000] &= np.uint64(2**63 + 2**52 - 1)  # biased exponent 0: subnormal
+    values = patterns.view(float)
+    values = values[np.isfinite(values)]
+    # .17g writes -0.0 as "-0", which JSON reads as the integer 0
+    texts = ["0.0", "-0.0", "0", "-0"] + [format(float(x), ".17g") for x in values]
+
+    ctx = decimal.Context(prec=800)  # exact for sums of two doubles
+    for x in np.concatenate([values[:500], values[-2000:]]).tolist():
+        mid = ctx.divide(ctx.add(decimal.Decimal(x), decimal.Decimal(np.nextafter(x, np.inf))), 2)
+        for digits in range(18, 26):
+            for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+                texts.append(str(decimal.Context(prec=digits, rounding=rounding).plus(mid)))
+    for e in rng.integers(60, 83, 2000).tolist():
+        # a double in [2^e, 2^(e+1)) has ulp 2^(e-52); add half of it
+        tie = int(rng.integers(2**52, 2**53)) * 2 ** (e - 52) + 2 ** (e - 53)
+        texts.append(f"{tie}e0" if e % 2 else f"-{tie}e0")
+    texts += ["2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623157e308"]
+    return texts
+
+
 class TestFileIO:
-    def test_roundtrip_bit_exact(self, tmp_path):
+    def test_roundtrip_bit_exact(self, tmp_path, capsys, monkeypatch):
         sys_ = random_system(4, 11, gamma=0.37)
         path = tmp_path / "sys.json"
         save_system(sys_, path)
         back = load_system(path)
         for key in ("M", "C", "K"):
             assert np.array_equal(getattr(back, key).array, getattr(sys_, key).array)
+
+        # the 120 files of gen --n k --seed s, k = 1..12, s = 0..9, against
+        # the standard library's correctly rounded parse
+        for k in range(1, 13):
+            for s in range(10):
+                assert cli.main(["gen", "--n", str(k), "--seed", str(s), "--output", str(path)]) == 0
+                expect = json.loads(path.read_text())
+                back = load_system(path)
+                for key in ("M", "C", "K"):
+                    assert np.array_equal(_bits(getattr(back, key).array.ravel()), _bits(expect[key]))
+        capsys.readouterr()
+
+        # hard decimals, as load_system parses them (caught on their way
+        # into from_flat, before any validation)
+        texts = _hard_decimals(np.random.default_rng(386))
+        assert len(texts) > 100_000
+        doc = '{"n": 1, "M": [' + ", ".join(texts) + '], "C": [], "K": []}'
+        path.write_text(doc)
+        seen = []
+
+        def capture(n, entries):
+            seen.append(entries)
+            raise InputError("captured")
+
+        monkeypatch.setattr(SymMatrix, "from_flat", capture)
+        with pytest.raises(InputError, match="captured"):
+            load_system(path)
+        assert np.array_equal(_bits(seen[0]), _bits(json.loads(doc)["M"]))
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -400,18 +465,69 @@ class TestFileIO:
     @pytest.mark.parametrize(
         "doc",
         [
-            '{"n": true, "M": [1.0], "C": [0.0], "K": [1.0]}',
-            '{"n": 1, "M": ["a"], "C": [0.0], "K": [1.0]}',
-            '{"n": 1, "M": 5, "C": [0.0], "K": [1.0]}',
-            '{"n": 1, "M": [1.0], "C": [1e308], "K": [1.0]}',
-            '[1.0]',
+            b'{"n": true, "M": [1.0], "C": [0.0], "K": [1.0]}',
+            b'{"n": 1, "M": ["a"], "C": [0.0], "K": [1.0]}',
+            b'{"n": 1, "M": 5, "C": [0.0], "K": [1.0]}',
+            b'{"n": 1, "M": [1.0], "C": [1e308], "K": [1.0]}',
+            b"[1.0]",
+            # not JSON: non-finite numbers, a byte order mark, bytes that
+            # are not UTF-8, no document, "1." and "01", a truncated document
+            b'{"n": 1, "M": [NaN], "C": [0.0], "K": [1.0]}',
+            b'{"n": 1, "M": [1.0], "C": [Infinity], "K": [1.0]}',
+            b'{"n": 1, "M": [1.0], "C": [0.0], "K": [-Infinity]}',
+            b'{"n": 1, "M": [1e400], "C": [0.0], "K": [1.0]}',
+            b'{"n": 1, "M": [1.0], "C": [-1e400], "K": [1.0]}',
+            b'\xef\xbb\xbf{"n": 1, "M": [1.0], "C": [0.0], "K": [1.0]}',
+            b'{"n": 1, "M": [1.0], "C": [0.0], "K": [1.0], "note": "\xff"}',
+            b"",
+            b'{"n": 1, "M": [1.], "C": [0.0], "K": [1.0]}',
+            b'{"n": 01, "M": [1.0], "C": [0.0], "K": [1.0]}',
+            b'{"n": 1, "M": [1.0], "C": [0.0], "K": [1.0',
+            pytest.param(
+                b'{"n": 1, "M": ' + b"[" * 2000 + b"]" * 2000 + b', "C": [0.0], "K": [1.0]}',
+                id="nested_2000_deep",
+            ),
         ],
     )
     def test_malformed_values_are_input_errors(self, tmp_path, doc):
         path = tmp_path / "bad.json"
-        path.write_text(doc)
-        with pytest.raises(InputError):
+        path.write_bytes(doc)
+        with pytest.raises(InputError, match=re.escape(str(path))):
             load_system(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'{"n": 1, "M": [NaN], "C": [0.0], "K": [1.0]}',
+            # deep enough to overflow the stack of a parser that recursed
+            b'{"n": 1, "M": ' + b"[" * 10**6 + b"]" * 10**6 + b', "C": [0.0], "K": [1.0]}',
+        ],
+        ids=["nan", "deep"],
+    )
+    def test_malformed_file_is_one_error_line(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_bytes(doc)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-m", "ovalbounds.cli", "analyze", "--input", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith(f"error: {path}: ")
+        assert run.stderr.count("\n") == 1
+
+    def test_integers_beyond_64_bits_load_as_doubles(self, tmp_path):
+        # strict JSON has no integer range; such an entry loads as the
+        # nearest double, as its 17-digit decimal text does
+        loaded = []
+        for entry in ("123456789012345678901234567890", "1.2345678901234568e+29"):
+            path = tmp_path / "big.json"
+            path.write_text(f'{{"n": 1, "M": [1.0], "C": [0.0], "K": [{entry}]}}')
+            loaded.append(load_system(path).K.array)
+        assert _bits(loaded[0]) == _bits(loaded[1]) == _bits([[1.2345678901234568e29]])
 
     def test_arbitrary_values_are_input_errors_or_valid(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
