@@ -4,6 +4,7 @@ import re
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 import ovalbounds.cli as cli
@@ -259,7 +260,6 @@ class TestVerifyCommand:
     def test_json_report_is_strict(self, tmp_path, capsys):
         # C = 1e200 overflows the modal foci, so some margins are nan or -inf;
         # the JSON report writes them as the text report does, as strings
-        orjson = pytest.importorskip("orjson")
         path = write_scalar(tmp_path, 1.0, 1e200, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
