@@ -219,11 +219,7 @@ def _emit(report: dict, as_json: bool) -> None:
     if not as_json:
         print(_render_text(report))
         return
-    try:
-        text = json.dumps(report, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float; converting each report would add 20 % to the dump
-        text = json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2, allow_nan=False)
-    print(text)
+    print(json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2, allow_nan=False))
 
 
 def _analysis(path):

@@ -277,7 +277,9 @@ def load_system(path) -> DampedSystem:
     with open(path, "rb") as fh:
         data = fh.read()
     # orjson recurses once per nesting level with no limit, so a document
-    # nested some 10^5 deep overflows the C stack; a system file opens 4
+    # nested some 10^5 deep overflows the C stack.  Counting the brackets
+    # bounds the depth; brackets inside strings count too.  A system file
+    # opens 4
     if data.count(b"[") + data.count(b"{") > 1024:
         raise InputError(f"{path}: more than 1024 '[' and '{{' in the file, a system file has 4")
     try:

@@ -487,6 +487,12 @@ class TestFileIO:
                 b'{"n": 1, "M": ' + b"[" * 2000 + b"]" * 2000 + b', "C": [0.0], "K": [1.0]}',
                 id="nested_2000_deep",
             ),
+            # the bracket count includes strings: a shallow file whose
+            # extra key holds 1025 brackets is refused as well
+            pytest.param(
+                b'{"n": 1, "M": [1.0], "C": [0.0], "K": [1.0], "note": "' + b"[" * 1025 + b'"}',
+                id="brackets_in_string",
+            ),
         ],
     )
     def test_malformed_values_are_input_errors(self, tmp_path, doc):
