@@ -5,16 +5,17 @@ Exit codes: 0 success, 2 input validation failure, 3 inclusion violation in
 definiteness interval search did not converge).  Reports are line-oriented
 ``key: value`` text; ``--json`` prints the same fields as a strict JSON
 document, a non-finite number as the string the text report prints.
-All numeric output uses 17 significant digits so files round-trip
-bit-exactly.
+Text reports and system files use 17 significant digits, JSON reports the
+shortest decimal of each double, so files round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -205,21 +206,47 @@ def _render_text(report: dict) -> str:
     return "\n".join(out)
 
 
-def _json_value(value):
-    """``value`` with each non-finite float as the text report prints it,
-    since strict JSON has no NaN or infinity."""
-    if isinstance(value, float) and not np.isfinite(value):
-        return _f17(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return value
+def _json_scalar(value) -> str:
+    """One report scalar in JSON, by the json module's rules, except that a
+    non-finite float becomes the string the text report prints: strict JSON
+    has no NaN or infinity."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return encode_basestring_ascii(_f17(value))
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a report value of type {type(value).__name__} has no JSON form")
+
+
+def _render_json(report: dict) -> str:
+    """The report as a strict JSON document: the bytes that ``json.dumps``
+    writes for it with ``indent=2``, each non-finite float being the string
+    the text report prints.  A value is a scalar or a list or tuple of
+    scalars.  Written here because the json module encodes in pure Python
+    whenever it indents."""
+    lines = []
+    for key, value in report.items():
+        if not isinstance(value, (list, tuple)):
+            text = _json_scalar(value)
+        elif value:
+            text = "[\n    " + ",\n    ".join(map(_json_scalar, value)) + "\n  ]"
+        else:
+            text = "[]"
+        lines.append(f"  {encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}"
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    if not as_json:
-        print(_render_text(report))
-        return
-    print(json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2, allow_nan=False))
+    print(_render_json(report) if as_json else _render_text(report))
 
 
 def _analysis(path):

@@ -251,14 +251,17 @@ def _format_float(x: float) -> str:
 
 
 def save_system(sys: DampedSystem, path) -> None:
-    """Write the system as a JSON document with 17-significant-digit floats.
+    """Write the system as a JSON document with 17-significant-digit floats,
+    a negative zero as ``-0.0``.
 
     The format is ``{"n": int, "M": [row-major], "C": [...], "K": [...]}``;
     decimal round trip is bit-exact.
     """
     parts = []
     for key in ("M", "C", "K"):
-        flat = ", ".join(_format_float(x) for x in getattr(sys, key).entries())
+        # -0.0 formats as "-0", which JSON reads as the integer 0
+        text = (_format_float(x) for x in getattr(sys, key).entries())
+        flat = ", ".join("-0.0" if t == "-0" else t for t in text)
         parts.append(f'  "{key}": [{flat}]')
     body = ",\n".join(parts)
     with open(path, "w", encoding="utf-8") as fh:

@@ -954,12 +954,26 @@ def boundary_polylines(u: RegionUnion, resolution: int = 512) -> list[list[np.nd
     return loops
 
 
+def _grid_lines(lo, hi, w: int) -> np.ndarray:
+    """Row k is ``np.linspace(lo[k], hi[k], w)`` bit for bit, where hi[k] -
+    lo[k] is zero or not subnormal.  linspace of the arrays is not: once any
+    row's step is zero it takes every row's points as (i / (w - 1)) *
+    (hi - lo) + lo in place of i * step + lo."""
+    lines = np.arange(w) * ((hi - lo) / (w - 1))[:, None]
+    lines += lo[:, None]
+    lines[:, -1] = hi
+    return lines
+
+
 def _trace(kind: _Kind, rows, boxes, resolution: int) -> list[list[np.ndarray]]:
-    """The loops of the kind's primitives ``rows``, a list per row."""
+    """The loops of the kind's primitives ``rows``, a list per row, each
+    traced on its bounding box padded as ``Box.padded(0.05)`` pads it."""
     w = resolution + 1
-    grids = [Box(*(float(edge[i]) for edge in boxes)).padded(0.05) for i in rows.tolist()]
-    xs = np.array([np.linspace(box.xmin, box.xmax, w) for box in grids])
-    ys = np.array([np.linspace(box.ymin, box.ymax, w) for box in grids])
+    xmin, xmax, ymin, ymax = (edge[rows] for edge in boxes)
+    dx = np.maximum(xmax - xmin, 1e-12) * 0.05
+    dy = np.maximum(ymax - ymin, 1e-12) * 0.05
+    xs = _grid_lines(xmin - dx, xmax + dx, w)
+    ys = _grid_lines(ymin - dy, ymax + dy, w)
     for _, level, verdict in _descend(kind, rows, xs, ys, resolution, 1):
         pass  # only the last level's undecided blocks, the leaves, are traced
     leaves = tuple(level[:, verdict == 0])

@@ -81,9 +81,9 @@ def check_inclusion(spec: Spectrum, u: RegionUnion) -> InclusionReport:
     best, index = u.best_margin(spec.values)
     margins = best / (1.0 + np.abs(spec.values) ** 2)
     assigned = tuple(
-        int(k) if m >= -BOUNDARY_TOL else None for k, m in zip(index, margins)
+        k if m >= -BOUNDARY_TOL else None for k, m in zip(index.tolist(), margins.tolist())
     )
-    all_contained = all(a is not None for a in assigned)
+    all_contained = None not in assigned
     worst = int(np.argmin(margins)) if len(margins) else None
     return InclusionReport(u.method.value, assigned, margins, all_contained, worst)
 

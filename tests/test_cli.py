@@ -344,6 +344,81 @@ class TestVerifyCommand:
         assert len(calls) == 3
 
 
+def _json_value(value):
+    """Reference conversion for ``--json``: each non-finite float as the text
+    report prints it, since strict JSON has no NaN or infinity."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return cli._f17(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def reference_json(report: dict) -> str:
+    converted = {k: _json_value(v) for k, v in report.items()}
+    return json.dumps(converted, indent=2, allow_nan=False)
+
+
+class TestJsonReport:
+    def test_equals_the_json_module(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+            ['"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "\ud800", "\udfff", "\U0001f600"]
+        )
+        floats = st.floats() | st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5,
+             1.7976931348623157e308, np.nan, np.inf, -np.inf]
+        )
+        ints = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+        scalar = text | floats | ints | st.booleans() | st.none()
+        value = scalar | st.lists(scalar, max_size=3) | st.lists(scalar, max_size=3).map(tuple)
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(st.dictionaries(text, value, min_size=1, max_size=5))
+        def check(report):
+            assert cli._render_json(report) == reference_json(report)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "value", [[[1.0]], ([1],), {"a": 1}, [{"a": 1}], np.int64(1), [np.float32(1.0)], b"x"]
+    )
+    def test_other_values_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._render_json({"n": 1, "value": value})
+
+    def test_report_commands_print_the_reference(self, tmp_path, capsys, monkeypatch):
+        reports = []
+        render = cli._render_json
+
+        def capture(report):
+            reports.append(dict(report))
+            return render(report)
+
+        monkeypatch.setattr(cli, "_render_json", capture)
+        methods = [word for m in Method for word in ("--method", m.value)]
+        commands = [["analyze"], ["regions", *methods], ["verify", *methods]]
+        cases = []
+        for k, s, flags in [(1, 0, []), (3, 1, []), (6, 4, ["--overdamped"]), (9, 2, [])]:
+            path = tmp_path / f"gen_{k}_{s}.json"
+            argv = ["gen", "--n", str(k), "--seed", str(s), "--output", str(path)]
+            assert cli.main(argv + flags) == 0
+            cases += [(path, c) for c in commands + [["overdamped", "--epsilon", "0.05"]]]
+        # non-finite values; overdamped exits 4 on it (the searches overflow)
+        huge = write_scalar(tmp_path, 1.0, 1e200, 1.0, "huge.json")
+        cases += [(huge, c) for c in commands]
+        capsys.readouterr()
+        for path, command in cases:
+            reports.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # C = 1e200 overflows
+                code = cli.main([*command, "--input", str(path), "--json"])
+            assert code in (0, 3)
+            (report,) = reports
+            assert capsys.readouterr().out == reference_json(report) + "\n"
+
+
 class TestRejectedFlags:
     @pytest.mark.parametrize(
         "command,flags",

@@ -456,6 +456,14 @@ class TestFileIO:
             load_system(path)
         assert np.array_equal(_bits(seen[0]), _bits(json.loads(doc)["M"]))
 
+    def test_negative_zero_roundtrips(self, tmp_path):
+        C = SymMatrix(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+        sys_ = DampedSystem(SymMatrix(np.eye(2)), C, SymMatrix(np.eye(2)))
+        path = tmp_path / "sys.json"
+        save_system(sys_, path)
+        assert '"C": [1, -0.0, -0.0, 1]' in path.read_text()
+        assert np.array_equal(_bits(load_system(path).C.array), _bits(C.array))
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1, "M": [1.0], "C": [0.0]}')

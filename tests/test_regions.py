@@ -772,6 +772,17 @@ class TestBoundaryPolyline:
         )
         assert run.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("w", [34, 97, 513])
+    def test_grid_lines_equal_linspace(self, w):
+        # a zero-width row, as a disk of radius 1e-300 at 1000i has after
+        # padding, beside rows of every scale
+        rng = np.random.default_rng(5)
+        lo = rng.standard_normal(200) * 10.0 ** rng.integers(-6, 6, 200)
+        hi = lo + rng.uniform(1e-13, 1.0, 200) * 10.0 ** rng.integers(-6, 6, 200)
+        lo, hi = np.append(lo, 1000.0), np.append(hi, 1000.0)
+        expect = np.array([np.linspace(a, b, w) for a, b in zip(lo.tolist(), hi.tolist())])
+        assert np.array_equal(regions._grid_lines(lo, hi, w), expect)
+
     def test_disk_radial_deviation(self):
         disk = Disk(0j, 1.0)
         loops = boundary_polyline(disk, 256)
