@@ -5,15 +5,20 @@ A system is overdamped when some mu < 0 makes mu^2 M + mu C + K negative
 definite; the set of such mu is an open interval separating the 2n real
 eigenvalues into the lower and upper group.  The certificates here are
 sufficient conditions computed from the diagonal modal split.  The exact
-references are searches certified by derivatives: the interval comes from
-Newton steps on the largest eigenvalue of the pencil, which is convex in mu,
-from both outer ends, and the minimal damping ratio from tangent cuts on the
-logarithm of a concave smallest pencil eigenvalue.  Each probe is one
-eigensolve whose eigenvector gives the (sub)gradient.
+references are certified searches.  The interval comes from Duffin's
+minimax: every x bounds it by the roots p_minus(x) <= p_plus(x) of
+x'Mx t^2 + x'Cx t + x'Kx, so the diagonal entries give an outer bracket, and
+each side then steps to the Duffin value of the top eigenvector of the pencil
+at its end, never passing the interval because that eigenvector's quadratic
+lies below the convex largest pencil eigenvalue and touches it there.  The
+minimal damping ratio comes from tangent cuts on the logarithm of a concave
+smallest pencil eigenvalue.  Each probe is one eigensolve whose eigenvector
+gives the (sub)gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,75 +96,110 @@ class EtaEnvelope:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-#: Cap on the Newton steps per side of the definiteness interval search.  A
+#: Cap on the Duffin steps per side of the definiteness interval search.  A
 #: simple root takes a handful; a double root (a critically overdamped
-#: system) converges linearly, halving the distance per step.
-_NEWTON_STEPS = 200
+#: system) converges linearly.
+_DUFFIN_STEPS = 200
 
 
-def _pencil_top(M: np.ndarray, C: np.ndarray, K: np.ndarray, mu: float) -> tuple[float, float]:
-    """lambda_max(Q(mu)) and x'(2 mu M + C)x for its unit eigenvector x, a
-    subgradient of the convex function mu -> lambda_max(Q(mu))."""
+def _duffin_roots(m: float, c: float, k: float) -> tuple[float, float]:
+    """Roots (p_minus, p_plus) of m t^2 + c t + k for m, k > 0, c > 0 and
+    c^2 >= 4mk, in Python-float arithmetic and the stable form
+    q = -(c + sqrt(c^2 - 4mk))/2, p_minus = q/m, p_plus = k/q: neither root
+    is a difference of nearly equal terms.  Overflow gives roots that are
+    not finite."""
+    q = -0.5 * (c + math.sqrt(c * c - 4.0 * m * k))
+    return q / m, k / q
+
+
+def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float] | None]:
+    """f = lambda_max(Q(mu)), its subgradient g = x'(2 mu M + C)x and the
+    Duffin values of its unit eigenvector x, None when c^2 <= 4mk with
+    m = x'Mx, c = x'Cx, k = x'Kx; MCK stacks M, C and K as (3, n, n).  A
+    Q(mu) that is not finite (dsyevr then finds no eigenvalue) or a value
+    that overflows raises NoConvergence."""
+    M, C, K = MCK
     n = len(M)
-    w, v, _, _, info = scipy.linalg.lapack.dsyevr(mu * mu * M + mu * C + K, range="I", il=n, iu=n)
-    if info:
-        raise NoConvergence(f"dsyevr failed with info {info} at mu = {mu}")
+    w, v, found, _, info = scipy.linalg.lapack.dsyevr(
+        mu * mu * M + mu * C + K, range="I", il=n, iu=n
+    )
+    if info or found != 1:
+        raise NoConvergence(f"dsyevr found no top eigenvalue of Q(mu) at mu = {mu}")
     x = v[:, 0]
-    return float(w[0]), float(x @ (2.0 * mu * (M @ x) + C @ x))
+    f = float(w[0])
+    m, c, k = ((MCK.reshape(3 * n, n) @ x).reshape(3, n) @ x).tolist()
+    roots = None if c * c - 4.0 * m * k <= 0.0 else _duffin_roots(m, c, k)
+    if not math.isfinite(f) or (roots is not None and not math.isfinite(roots[0])):
+        raise NoConvergence(f"the Duffin values overflow at mu = {mu}")
+    return f, 2.0 * mu * m + c, roots
 
 
 def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> DefinitenessInterval:
-    """Compute the definiteness interval by Newton steps from both outer ends.
+    """Compute the definiteness interval by Duffin steps from the diagonal.
 
-    f(mu) = lambda_max(Q(mu)) is a pointwise maximum of convex quadratics
-    with positive leading coefficient, hence convex, and the top eigenvector
-    x gives the subgradient f' = x'(2 mu M + C)x.  f > 0 at 0 and at
-    lo = -2||C||/lambda_min(M) - 1, beyond every root of every Rayleigh
-    quotient quadratic.  Every tangent lies below f, so a Newton sequence
-    started at either end moves inward monotonically and never passes a
-    root; a side stops when its step is at most tol (1 + |mu|).  Once both
-    have stopped, the midpoint between them is probed: with f < 0 there the
-    final iterates, outer bounds of the interval, are returned; otherwise
-    the midpoint joins the side its subgradient points away from, and that
-    side steps on.  The interval is empty exactly when a probe with f >= 0
-    has a subgradient pointing outward (then f >= 0 on both sides of it) or
-    when the two sequences cross (then f > 0 everywhere); both are
-    certificates by convexity, so the verdict does not depend on tol.
+    For a fixed x, q_x(mu) = x'Q(mu)x / x'x is a convex quadratic whose
+    roots p_minus(x) <= p_plus(x) are the Duffin values, and
+    f(mu) = lambda_max(Q(mu)) is the maximum of all q_x, hence convex.  The
+    interval {f < 0} lies in (p_minus(x), p_plus(x)) for every x, so the
+    diagonal Duffin values L = max_i p_minus(e_i) and R = min_i p_plus(e_i),
+    plain arithmetic on diag(M), diag(C) and diag(K), bracket it from
+    outside.  Each side probes f at its end mu and moves to the Duffin value
+    of the top unit eigenvector x there.  q_x lies below f and has f's value
+    and slope x'(2 mu M + C)x at mu, so its root lies between the tangent
+    (Newton) step and the interval: the ends move inward monotonically and
+    never pass it.  A side stops when its step is at most tol |mu| (the
+    ends are never 0) or at a probe with f <= 0.  Once both have stopped,
+    the midpoint between them is probed: with f < 0 there the ends, outer
+    bounds of the interval, are returned; otherwise the midpoint joins the
+    side its subgradient points away from, and that side steps on from it.
+
+    The interval is empty when some x has c^2 <= 4mk (a diagonal entry, or
+    a probe's eigenvector: then q_x >= 0 everywhere), when a probe with
+    f >= 0 has a subgradient pointing outward (then f >= 0 on both sides of
+    it), or when the two sides cross (then f > 0 everywhere).  All three are
+    certificates, so the verdict does not depend on tol.  A start or probe
+    that overflows raises NoConvergence instead of giving a verdict.
     """
     M, C, K = sys.M.array, sys.C.array, sys.K.array
-    min_m = float(np.linalg.eigvalsh(M)[0])
-    ends = [-2.0 * spectral_norm(C) / min_m - 1.0, 0.0]
+    ends = [-math.inf, 0.0]
+    for m, c, k in zip(M.diagonal().tolist(), C.diagonal().tolist(), K.diagonal().tolist()):
+        if c * c - 4.0 * m * k <= 0.0:  # nan (overflow) is not a verdict
+            return DefinitenessInterval.none()
+        p_minus, p_plus = _duffin_roots(m, c, k)
+        if not math.isfinite(p_minus):
+            raise NoConvergence("diagonal Duffin values overflow")
+        ends = [max(ends[0], p_minus), min(ends[1], p_plus)]
+    MCK = np.stack((M, C, K))
     outward = (1.0, -1.0)  # per side, the sign of f' that rules the interval out
     active = [True, True]
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_DUFFIN_STEPS):
+        if ends[0] >= ends[1]:
+            return DefinitenessInterval.none()
+        if not any(active):
+            # the ends stay outside the interval, so a point inside is still
+            # owed.  A midpoint with f >= 0 lies on the side its subgradient
+            # points away from, and that side steps on from it.
+            mid = 0.5 * (ends[0] + ends[1])
+            f, g, roots = _probe(MCK, mid)
+            if f < 0.0:
+                return DefinitenessInterval(ends[0], ends[1])
+            if roots is None or g == 0.0:
+                return DefinitenessInterval.none()
+            side = 0 if g < 0.0 else 1
+            ends[side], active[side] = roots[side], True
         for side in (0, 1):
             if not active[side]:
                 continue
             mu = ends[side]
-            f, g = _pencil_top(M, C, K, mu)
+            f, g, roots = _probe(MCK, mu)
             if f <= 0.0:
                 active[side] = False
                 continue
-            if g * outward[side] >= 0.0:
+            if roots is None or g * outward[side] >= 0.0:
                 return DefinitenessInterval.none()
-            step = -f / g
-            ends[side] = mu + step
-            active[side] = abs(step) > tol * (1.0 + abs(ends[side]))
-        if ends[0] >= ends[1]:
-            return DefinitenessInterval.none()
-        if not any(active):
-            # Newton iterates stay outside the interval, so a point inside is
-            # still owed.  A midpoint with f > 0 is an iterate of the side its
-            # subgradient points away from, and that side steps on from it.
-            mid = 0.5 * (ends[0] + ends[1])
-            f, g = _pencil_top(M, C, K, mid)
-            if f < 0.0:
-                return DefinitenessInterval(ends[0], ends[1])
-            if g == 0.0:
-                return DefinitenessInterval.none()
-            side = 0 if g < 0.0 else 1
-            ends[side], active[side] = mid - f / g, True
-    raise NoConvergence(f"definiteness interval search did not settle in {_NEWTON_STEPS} steps")
+            ends[side] = roots[side]
+            active[side] = abs(ends[side] - mu) > tol * abs(ends[side])
+    raise NoConvergence(f"definiteness interval search did not settle in {_DUFFIN_STEPS} steps")
 
 
 def sufficient_certificate(
@@ -231,19 +271,18 @@ def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:
     """Duffin functionals p_plus(x), p_minus(x) or None when undefined.
 
     With m = x'Mx, c = x'Cx, k = x'Kx these are the roots of
-    m t^2 + c t + k, defined when c^2 >= 4 m k.
+    m t^2 + c t + k, defined when c^2 >= 4 m k; they depend only on the
+    direction of x, which is normalized first.
     """
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    m = float(x @ sys.M.array @ x)
-    c = float(x @ sys.C.array @ x)
-    k = float(x @ sys.K.array @ x)
-    disc = c * c - 4.0 * m * k
-    if disc < 0.0:
+    x = x / np.linalg.norm(x)
+    m, c, k = (float(x @ S.array @ x) for S in (sys.M, sys.C, sys.K))
+    if c * c - 4.0 * m * k < 0.0:
         return None
-    t_plus, t_minus = quadratic_roots(c / m, np.sqrt(k / m))
-    return t_plus.real, t_minus.real
+    p_minus, p_plus = _duffin_roots(m, c, k)
+    return p_plus, p_minus
 
 
 def _pencil_bottom(M: np.ndarray, C: np.ndarray, K: np.ndarray, s: float) -> tuple[float, float]:

@@ -5,7 +5,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from ovalbounds import cli
-from ovalbounds.errors import CertificateMissing, EpsilonTooLarge
+from ovalbounds.errors import CertificateMissing, EpsilonTooLarge, NoConvergence
 from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm, sym_eig
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, to_modal
 from ovalbounds.overdamped import (
@@ -58,10 +58,25 @@ class TestExactInterval:
         assert exact_definiteness_interval(scalar_system(1, 1, 1)).empty
 
     @pytest.mark.parametrize("tol", [0.6, 0.3, 1e-3, 1e-10])
-    def test_verdict_does_not_depend_on_tol(self, tol):
-        # at tol = 0.6 both Newton sides of mu^2 + mu + 1 stop after one step
-        # without having crossed; only a probe with f < 0 may make it nonempty
-        assert exact_definiteness_interval(scalar_system(1, 1, 1), tol).empty
+    def test_verdict_does_not_depend_on_tol(self, tol, eigensolves):
+        # mu^2 + mu + 1 has c^2 < 4mk on its diagonal: refused before any probe
+        scalar = scalar_system(1, 1, 1)
+        eigensolves.clear()
+        assert exact_definiteness_interval(scalar, tol).empty
+        assert eigensolves == []
+        # a coupled system with lambda_max(Q) >= 0.033 everywhere whose
+        # diagonal Duffin values bracket (-1.82, -0.46): at tol = 0.6 the sides
+        # stop after two steps and one without having crossed, and the
+        # midpoint probe has to refuse it; only a probe with f < 0 may make it
+        # nonempty
+        coupled = DampedSystem(
+            SymMatrix(np.diag([3.0, 1.0])),
+            SymMatrix([[6.0, 2.5], [2.5, 7.0]]),
+            SymMatrix(np.diag([1.0, 3.0])),
+        )
+        eigensolves.clear()
+        assert exact_definiteness_interval(coupled, tol).empty
+        assert len(eigensolves) >= 3
         iv = exact_definiteness_interval(scalar_system(1, 3, 2), tol)
         # outer bounds, up to the rounding of f near a root
         assert not iv.empty and iv.lo <= -2.0 + 1e-14 and -1.0 - 1e-14 <= iv.hi
@@ -109,7 +124,7 @@ def reference_eigenvalues(sys_: DampedSystem, dps: int = 40) -> list:
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Records one entry per call of any dense symmetric eigensolver."""
+    """Records one entry per call of any dense symmetric eigensolver or SVD."""
     calls = []
     for mod, name in (
         (np.linalg, "eigvalsh"),
@@ -117,6 +132,7 @@ def eigensolves(monkeypatch):
         (scipy.linalg, "eigh"),
         (scipy.linalg.lapack, "dsyevr"),
         (scipy.linalg.lapack, "dsygvx"),
+        (np.linalg, "svd"),
     ):
         real = getattr(mod, name)
 
@@ -140,16 +156,95 @@ class TestIntervalSearch:
                 assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
 
     def test_eigensolves_at_order_50(self, eigensolves):
-        for seed in range(2):
+        for seed in range(4):
             over = cli.random_system(50, seed, overdamped=True)
             under = DampedSystem(over.M, SymMatrix(0.5 * over.C.array), over.K)
-            for sys_, empty in ((over, False), (under, True)):
+            for sys_, empty, most in ((over, False, 16), (under, True, 8)):
                 eigensolves.clear()
                 assert exact_definiteness_interval(sys_).empty == empty
-                assert len(eigensolves) <= 40
+                # Duffin steps from the diagonal: no eigvalsh of M, no SVD of C
+                assert set(eigensolves) == {"dsyevr"}
+                assert len(eigensolves) <= most
                 eigensolves.clear()
                 min_damping_d(sys_)
                 assert len(eigensolves) <= 25
+
+    @pytest.mark.parametrize(
+        "C,K",
+        [
+            # the first diagonal entry has c^2 < 4mk
+            ([[1.0, 0.1], [0.1, 5.0]], np.eye(2)),
+            # a double root on the diagonal, c^2 = 4mk
+            ([[2.0, 0.1], [0.1, 5.0]], np.eye(2)),
+            # diagonal Duffin values (-2, -1) and (-20, -10): the brackets cross
+            ([[3.0, 0.5], [0.5, 30.0]], [[2.0, 0.1], [0.1, 200.0]]),
+        ],
+    )
+    def test_diagonal_certificates_need_no_eigensolve(self, eigensolves, C, K):
+        sys_ = DampedSystem(SymMatrix(np.eye(2)), SymMatrix(C), SymMatrix(K))
+        eigensolves.clear()
+        assert exact_definiteness_interval(sys_).empty
+        assert eigensolves == []
+        assert not is_hyperbolic(sys_)
+
+    def test_diagonal_systems_exact_at_start(self, eigensolves):
+        rng = np.random.default_rng(7)
+        nonempty = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            m, k = rng.uniform(0.5, 2.0, n), 10.0 ** rng.uniform(-2.0, 2.0, n)
+            c = 2.0 * np.sqrt(m * k) * rng.uniform(1.0, 2.0, n)
+            sys_ = DampedSystem(*(SymMatrix(np.diag(v)) for v in (m, c, k)))
+            eigensolves.clear()
+            iv = exact_definiteness_interval(sys_)
+            with mpmath.workdps(40):
+                roots = [
+                    ((-ci - mpmath.sqrt(ci * ci - 4 * mi * ki)) / (2 * mi),
+                     (-ci + mpmath.sqrt(ci * ci - 4 * mi * ki)) / (2 * mi))
+                    for mi, ci, ki in zip(*(map(mpmath.mpf, v.tolist()) for v in (m, c, k)))
+                ]
+                lo, hi = max(r[0] for r in roots), min(r[1] for r in roots)
+                if lo >= hi:
+                    assert iv.empty and eigensolves == []
+                    continue
+                nonempty += 1
+                assert not iv.empty and len(eigensolves) <= 3
+                for got, want in ((iv.lo, lo), (iv.hi, hi)):
+                    assert abs(got - want) <= 4e-16 * abs(want)
+        assert 50 <= nonempty <= 250
+
+    def test_endpoints_scale_with_the_system(self):
+        # C -> 2^k C and K -> 4^k K maps the interval to 2^k times itself;
+        # the relative stop rule keeps the endpoints' accuracy at every k
+        for n in (2, 4, 6, 8, 12):
+            for seed in range(6):
+                sys_ = cli.random_system(n, seed, overdamped=True)
+                base = exact_definiteness_interval(sys_)
+                assert not base.empty
+                for k in (-40, -30, -20, -10, 10, 20, 30, 40):
+                    s = 2.0**k
+                    scaled = DampedSystem(
+                        sys_.M, SymMatrix(s * sys_.C.array), SymMatrix(s * s * sys_.K.array)
+                    )
+                    iv = exact_definiteness_interval(scaled)
+                    assert not iv.empty
+                    for got, want in ((iv.lo, s * base.lo), (iv.hi, s * base.hi)):
+                        assert abs(got - want) <= 1e-8 * abs(want)
+
+    @pytest.mark.parametrize(
+        "M,C,K",
+        [
+            # strongly overdamped, with roots near -1e160 and -1e-160
+            ([[2.0, 0.5], [0.5, 1.0]], 1e160 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]]),
+            ([[2.0, 0.5], [0.5, 1.0]], 1e200 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]]),
+            ([[1.0]], [[1e155]], [[1.0]]),
+            ([[1.0]], [[1e200]], [[1.0]]),
+        ],
+    )
+    def test_overflow_is_no_verdict(self, M, C, K):
+        sys_ = DampedSystem(SymMatrix(M), SymMatrix(C), SymMatrix(K))
+        with pytest.raises(NoConvergence, match="overflow"):
+            exact_definiteness_interval(sys_)
 
 
 class TestSufficientCertificate:
@@ -272,6 +367,19 @@ class TestDuffin:
 
     def test_undefined(self):
         assert duffin_values(scalar_system(1, 1, 1), [1.0]) is None
+
+    @pytest.mark.parametrize("m,k", [(1.0, 1.0), (3.0, 0.5), (0.25, 7.0)])
+    def test_stable_roots_to_1e12(self, m, k):
+        # the small root -k/c (1 + ...) has no cancellation: -1e-8 at c = 1e8
+        for e in range(1, 13):
+            c = 10.0**e * 2.0 * np.sqrt(m * k)
+            p_plus, p_minus = duffin_values(scalar_system(m, c, k), [1.0])
+            with mpmath.workdps(40):
+                r = mpmath.sqrt(mpmath.mpf(c) ** 2 - 4 * mpmath.mpf(m) * mpmath.mpf(k))
+                want_plus = (-mpmath.mpf(c) + r) / (2 * mpmath.mpf(m))
+                want_minus = (-mpmath.mpf(c) - r) / (2 * mpmath.mpf(m))
+                assert abs(p_plus - want_plus) <= 4e-16 * abs(want_plus)
+                assert abs(p_minus - want_minus) <= 4e-16 * abs(want_minus)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
