@@ -102,36 +102,46 @@ class EtaEnvelope:
 _DUFFIN_STEPS = 200
 
 
-def _duffin_roots(m: float, c: float, k: float) -> tuple[float, float]:
-    """Roots (p_minus, p_plus) of m t^2 + c t + k for m, k > 0, c > 0 and
-    c^2 >= 4mk, in Python-float arithmetic and the stable form
-    q = -(c + sqrt(c^2 - 4mk))/2, p_minus = q/m, p_plus = k/q: neither root
-    is a difference of nearly equal terms.  Overflow gives roots that are
-    not finite."""
-    q = -0.5 * (c + math.sqrt(c * c - 4.0 * m * k))
+def _duffin_roots(m: float, c: float, k: float) -> tuple[float, float] | None:
+    """Roots (p_minus, p_plus) of m t^2 + c t + k for m, k > 0, or None when
+    c <= 2 sqrt(mk) and there are no two distinct negative roots.  With
+    a = c/2 and h = sqrt(m) sqrt(k) the roots are the stable
+    q = -(a + sqrt(a - h) sqrt(a + h)), p_minus = q/m and p_plus = k/q: no
+    term squares an entry, so scaling m, c and k together by a power of two
+    changes neither the test nor the roots, and neither root is a
+    difference of nearly equal terms.  Roots that overflow are not
+    finite."""
+    a, h = 0.5 * c, math.sqrt(m) * math.sqrt(k)
+    if a <= h:
+        return None
+    q = -(a + math.sqrt(a - h) * math.sqrt(a + h))
     return q / m, k / q
 
 
 def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float] | None]:
     """f = lambda_max(Q(mu)), its subgradient g = x'(2 mu M + C)x and the
-    Duffin values of its unit eigenvector x, None when c^2 <= 4mk with
+    Duffin values of its unit eigenvector x, None when c <= 2 sqrt(mk) with
     m = x'Mx, c = x'Cx, k = x'Kx; MCK stacks M, C and K as (3, n, n).  A
-    Q(mu) that is not finite (dsyevr then finds no eigenvalue) or a value
-    that overflows raises NoConvergence."""
+    Q(mu) that overflows (dsyevr then finds no eigenvalue or an infinite
+    one), a quadratic form that is not finite and positive where it must
+    be, or Duffin values that overflow raise NoConvergence."""
     M, C, K = MCK
     n = len(M)
     w, v, found, _, info = scipy.linalg.lapack.dsyevr(
         mu * mu * M + mu * C + K, range="I", il=n, iu=n
     )
-    if info or found != 1:
-        raise NoConvergence(f"dsyevr found no top eigenvalue of Q(mu) at mu = {mu}")
+    if info:
+        raise NoConvergence(f"dsyevr failed with info {info} at mu = {mu}")
+    if found != 1 or not math.isfinite(w[0]):
+        raise NoConvergence(f"Q(mu) overflows at mu = {mu}")
     x = v[:, 0]
-    f = float(w[0])
     m, c, k = ((MCK.reshape(3 * n, n) @ x).reshape(3, n) @ x).tolist()
-    roots = None if c * c - 4.0 * m * k <= 0.0 else _duffin_roots(m, c, k)
-    if not math.isfinite(f) or (roots is not None and not math.isfinite(roots[0])):
+    if not (0.0 < m < math.inf and 0.0 < k < math.inf and math.isfinite(c)):
+        raise NoConvergence(f"the Duffin quadratic is not finite and positive at mu = {mu}")
+    roots = _duffin_roots(m, c, k)
+    if roots is not None and not math.isfinite(roots[0]):
         raise NoConvergence(f"the Duffin values overflow at mu = {mu}")
-    return f, 2.0 * mu * m + c, roots
+    return float(w[0]), 2.0 * mu * m + c, roots
 
 
 def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> DefinitenessInterval:
@@ -153,8 +163,8 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
     bounds of the interval, are returned; otherwise the midpoint joins the
     side its subgradient points away from, and that side steps on from it.
 
-    The interval is empty when some x has c^2 <= 4mk (a diagonal entry, or
-    a probe's eigenvector: then q_x >= 0 everywhere), when a probe with
+    The interval is empty when some x has c <= 2 sqrt(mk) (a diagonal entry,
+    or a probe's eigenvector: then q_x >= 0 everywhere), when a probe with
     f >= 0 has a subgradient pointing outward (then f >= 0 on both sides of
     it), or when the two sides cross (then f > 0 everywhere).  All three are
     certificates, so the verdict does not depend on tol.  A start or probe
@@ -163,12 +173,12 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
     M, C, K = sys.M.array, sys.C.array, sys.K.array
     ends = [-math.inf, 0.0]
     for m, c, k in zip(M.diagonal().tolist(), C.diagonal().tolist(), K.diagonal().tolist()):
-        if c * c - 4.0 * m * k <= 0.0:  # nan (overflow) is not a verdict
+        roots = _duffin_roots(m, c, k)
+        if roots is None:
             return DefinitenessInterval.none()
-        p_minus, p_plus = _duffin_roots(m, c, k)
-        if not math.isfinite(p_minus):
+        if not math.isfinite(roots[0]):
             raise NoConvergence("diagonal Duffin values overflow")
-        ends = [max(ends[0], p_minus), min(ends[1], p_plus)]
+        ends = [max(ends[0], roots[0]), min(ends[1], roots[1])]
     MCK = np.stack((M, C, K))
     outward = (1.0, -1.0)  # per side, the sign of f' that rules the interval out
     active = [True, True]
@@ -271,18 +281,21 @@ def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:
     """Duffin functionals p_plus(x), p_minus(x) or None when undefined.
 
     With m = x'Mx, c = x'Cx, k = x'Kx these are the roots of
-    m t^2 + c t + k, defined when c^2 >= 4 m k; they depend only on the
-    direction of x, which is normalized first.
+    m t^2 + c t + k, defined when c >= 2 sqrt(mk) (a double root at
+    equality); they depend only on the direction of x, which is normalized
+    first, and not on a common scale of M, C and K.
     """
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         raise ValueError("x must be nonzero")
     x = x / np.linalg.norm(x)
     m, c, k = (float(x @ S.array @ x) for S in (sys.M, sys.C, sys.K))
-    if c * c - 4.0 * m * k < 0.0:
-        return None
-    p_minus, p_plus = _duffin_roots(m, c, k)
-    return p_plus, p_minus
+    roots = _duffin_roots(m, c, k)
+    if roots is None:
+        if 0.5 * c < math.sqrt(m) * math.sqrt(k):
+            return None
+        roots = (-0.5 * c / m,) * 2
+    return roots[1], roots[0]
 
 
 def _pencil_bottom(M: np.ndarray, C: np.ndarray, K: np.ndarray, s: float) -> tuple[float, float]:

@@ -609,22 +609,23 @@ class TestNumericalFailure:
         assert captured.err == "error: no convergence in the test\n"
 
     def test_overflowing_interval_search_exits_4(self, tmp_path, capsys):
-        # strongly overdamped, but the Duffin values and the pencil overflow:
-        # no verdict, where an overflowed probe once gave "empty" and exit 0
+        # strongly overdamped, but the pencil overflows at the outer diagonal
+        # Duffin value: no verdict, where an overflowed probe once gave
+        # "empty" and exit 0
         path = tmp_path / "huge.json"
         path.write_text(
             '{"n": 2, "M": [2, 0.5, 0.5, 1], "C": [1e160, 0, 0, 1e160], "K": [1, 0.2, 0.2, 3]}'
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the modal foci overflow
-            assert cli.main(["overdamped", "--input", str(path)]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: diagonal Duffin values overflow\n"
         out = tmp_path / "gen.json"
         argv = ["gen", "--n", "3", "--gamma", "1e170", "--overdamped", "--output", str(out)]
-        assert cli.main(argv) == 4
-        assert capsys.readouterr().err == "error: diagonal Duffin values overflow\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the modal foci and Q(mu) overflow
+            assert cli.main(["overdamped", "--input", str(path)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: Q(mu) overflows at mu = -5e+159\n"
+            assert cli.main(argv) == 4
+        assert capsys.readouterr().err.startswith("error: Q(mu) overflows at mu = ")
         assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -231,20 +233,53 @@ class TestIntervalSearch:
                     for got, want in ((iv.lo, s * base.lo), (iv.hi, s * base.hi)):
                         assert abs(got - want) <= 1e-8 * abs(want)
 
+    def test_interval_does_not_depend_on_a_common_scale(self):
+        # M, C and K scaled together by 2^+-550 leave Q(mu)'s sign and the
+        # Duffin values unchanged; the squares c^2 and 4mk would under- or
+        # overflow there
+        for n in (2, 4, 8):
+            for seed in range(3):
+                over = cli.random_system(n, seed, overdamped=True)
+                under = DampedSystem(over.M, SymMatrix(0.5 * over.C.array), over.K)
+                for sys_ in (over, under):
+                    base = exact_definiteness_interval(sys_)
+                    for s in (2.0**-550, 2.0**550):
+                        scaled = DampedSystem(
+                            *(SymMatrix(s * S.array) for S in (sys_.M, sys_.C, sys_.K))
+                        )
+                        iv = exact_definiteness_interval(scaled)
+                        assert iv.empty == base.empty
+                        if not iv.empty:
+                            for got, want in ((iv.lo, base.lo), (iv.hi, base.hi)):
+                                assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("s", [1e-165, 1e155])
+    def test_tiny_and_huge_scalar(self, s):
+        # s (mu^2 + 3 mu + 2): c^2 = 9 s^2 and 4mk = 8 s^2 both underflow to 0
+        # at s = 1e-165 and overflow at s = 1e155
+        iv = exact_definiteness_interval(scalar_system(s, 3.0 * s, 2.0 * s))
+        assert not iv.empty
+        assert iv.lo == pytest.approx(-2.0, rel=1e-14) and iv.hi == pytest.approx(-1.0, rel=1e-14)
+
     @pytest.mark.parametrize(
-        "M,C,K",
+        "M,C,K,message",
         [
-            # strongly overdamped, with roots near -1e160 and -1e-160
-            ([[2.0, 0.5], [0.5, 1.0]], 1e160 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]]),
-            ([[2.0, 0.5], [0.5, 1.0]], 1e200 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]]),
-            ([[1.0]], [[1e155]], [[1.0]]),
-            ([[1.0]], [[1e200]], [[1.0]]),
+            # strongly overdamped, with roots near -1e160 and -1e-160: the
+            # Duffin values are finite, but Q overflows at the outer one
+            ([[2.0, 0.5], [0.5, 1.0]], 1e160 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]], "Q"),
+            ([[2.0, 0.5], [0.5, 1.0]], 1e200 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]], "Q"),
+            ([[1.0]], [[1e155]], [[1.0]], "Q"),
+            ([[1.0]], [[1e200]], [[1.0]], "Q"),
+            # the root -1e310 itself overflows
+            ([[1e-10]], [[1e300]], [[1.0]], "diagonal Duffin values"),
         ],
     )
-    def test_overflow_is_no_verdict(self, M, C, K):
+    def test_overflow_is_no_verdict(self, M, C, K, message):
         sys_ = DampedSystem(SymMatrix(M), SymMatrix(C), SymMatrix(K))
-        with pytest.raises(NoConvergence, match="overflow"):
-            exact_definiteness_interval(sys_)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Q(mu) overflows
+            with pytest.raises(NoConvergence, match=f"{message}.* overflow"):
+                exact_definiteness_interval(sys_)
 
 
 class TestSufficientCertificate:
@@ -380,6 +415,16 @@ class TestDuffin:
                 want_minus = (-mpmath.mpf(c) - r) / (2 * mpmath.mpf(m))
                 assert abs(p_plus - want_plus) <= 4e-16 * abs(want_plus)
                 assert abs(p_minus - want_minus) <= 4e-16 * abs(want_minus)
+
+    @pytest.mark.parametrize("s", [1e-165, 1e155, 2.0**-550, 2.0**550])
+    def test_common_scale(self, s):
+        assert duffin_values(scalar_system(s, 3.0 * s, 2.0 * s), [1.0]) == pytest.approx(
+            (-1.0, -2.0), rel=1e-15
+        )
+        assert duffin_values(scalar_system(s, s, s), [1.0]) is None
+
+    def test_double_root(self):
+        assert duffin_values(scalar_system(1, 2, 1), [1.0]) == (-1.0, -1.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
