@@ -26,7 +26,6 @@ from .matdense import (
     cholesky,
     gen_sym_def_eig,
     load_system,
-    read_matrix_market,
     save_system,
     spectral_norm,
     sym_eig,

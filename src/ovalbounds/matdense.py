@@ -305,17 +305,3 @@ def load_system(path) -> DampedSystem:
             raise InputError(f"{path}: matrix {key}: {exc}") from exc
     return DampedSystem(mats["M"], mats["C"], mats["K"])
 
-
-def read_matrix_market(path) -> SymMatrix:
-    """Read one real symmetric matrix in Matrix Market coordinate/array form."""
-    import scipy.io  # loaded only here: no command reads Matrix Market
-    import scipy.sparse
-
-    try:
-        mat = scipy.io.mmread(path)
-    except Exception as exc:
-        raise InputError(f"{path}: not a readable Matrix Market file: {exc}") from exc
-    dense = np.asarray(mat.todense() if scipy.sparse.issparse(mat) else mat, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise InputError(f"{path}: expected a square matrix, got shape {dense.shape}")
-    return SymMatrix(dense)

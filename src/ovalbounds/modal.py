@@ -9,6 +9,7 @@ split, the per-mode foci and the conditioning numbers computed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -267,18 +268,57 @@ def proportional_fit(form: ModalForm, W: SymMatrix | None = None) -> Proportiona
     return ProportionalFit(float(alpha), float(beta), float(np.linalg.norm(resid, "fro")))
 
 
-def quadratic_roots(d, omega):
-    """Roots of x^2 + d x + omega^2, elementwise over arrays, ordered
-    (plus, minus) by the sign of the discriminant square root.
+def overdamped_modes(d, omega):
+    """The root kernel's real-roots test, for floats or elementwise: d/2 >
+    omega, where x^2 + d x + omega^2 has two distinct negative roots."""
+    return 0.5 * d > omega
 
-    Scalar arguments give two complex scalars, arrays two complex arrays.
-    """
+
+def real_roots(m: float, c: float, k: float) -> tuple[float, float] | None:
+    """Float entry of the root kernel, for the interval search's probes:
+    the roots (minus, plus) of m t^2 + c t + k, m, k > 0, or None unless
+    they are real, negative and distinct.  y = m t solves y^2 + c y + h^2
+    with h = sqrt(m) sqrt(k); with a = c/2 and s = sqrt(a - h) sqrt(a + h)
+    the roots are q/m and k/q for q = -(a + s) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 1.8).  Neither is a difference of
+    nearly equal terms and no term squares an entry, so a common scale of
+    m, c and k by a power of two changes neither the test nor the roots.
+    Roots that overflow are not finite."""
+    a, h = 0.5 * c, math.sqrt(m) * math.sqrt(k)
+    if not overdamped_modes(c, h):
+        return None
+    q = -(a + math.sqrt(a - h) * math.sqrt(a + h))
+    return q / m, k / q
+
+
+def _root_kernel(d, omega):
+    """Array entry of the root kernel: real_roots' formula for m = 1 and
+    k = omega^2, with k/q as (omega/q) omega and s = sqrt|a - omega|
+    sqrt|a + omega|.  Returns the roots (plus, minus), a and s.  Where
+    |a| > omega the roots are q = -(a + sign(a) s) and k/q, plus the
+    larger; elsewhere they are -a +- i s."""
     d = np.asarray(d, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    disc = d * d - 4.0 * omega * omega
-    s = np.sqrt(disc.astype(complex))
-    lam_p = (-d + s) / 2.0
-    lam_m = (-d - s) / 2.0
+    a = 0.5 * d
+    s = np.sqrt(np.abs(a - omega)) * np.sqrt(np.abs(a + omega))
+    real = np.abs(a) > omega
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where roots are complex
+        q = -(a + np.copysign(s, a))
+        r = omega / q * omega
+    lam_p, lam_m = np.empty(a.shape, complex), np.empty(a.shape, complex)
+    lam_p.real = np.where(real, np.maximum(q, r), 0.0 - a)  # +0.0 at a = 0
+    lam_m.real = np.where(real, np.minimum(q, r), 0.0 - a)
+    lam_p.imag = np.where(real, 0.0, s)
+    lam_m.imag = 0.0 - lam_p.imag
+    return lam_p, lam_m, a, s
+
+
+def quadratic_roots(d, omega):
+    """Roots of x^2 + d x + omega^2, elementwise over arrays, ordered
+    (plus, minus): the larger real root, or the one with positive imaginary
+    part, first.  Scalar arguments give two complex scalars, arrays two
+    complex arrays."""
+    lam_p, lam_m, _, _ = _root_kernel(d, omega)
     if lam_p.ndim == 0:
         return complex(lam_p), complex(lam_m)
     return lam_p, lam_m
@@ -288,18 +328,19 @@ def mode_foci(form: ModalForm, split: ModalSplit) -> ModeFoci:
     """Per-mode foci, damping ratio theta and conditioning kappa.
 
     Uses the rotated diagonal entries of the split and its representative
-    frequencies.  A mode with theta == 1 (double real root) is flagged
-    critical; its kappa is NaN and condition-number based disk bounds are
-    suppressed downstream, while oval regions remain valid.
+    frequencies; kappa is hypot(a, omega) / s with the root kernel's a and
+    s, so no square of theta is formed.  A mode with theta == 1 (double
+    real root) is flagged critical; its kappa is NaN and condition-number
+    based disk bounds are suppressed downstream, while oval regions remain
+    valid.
     """
-    d = split.diag
     w = split.omega0
-    lam_p, lam_m = quadratic_roots(d, w)
-    theta = d / (2.0 * w)
+    lam_p, lam_m, a, s = _root_kernel(split.diag, w)
+    theta = a / w
     critical = np.abs(theta - 1.0) <= CRITICAL_TOL
-    kappa = np.full(len(d), np.nan)
+    kappa = np.full(len(w), np.nan)
     ok = ~critical
-    kappa[ok] = np.sqrt((1.0 + theta[ok] ** 2) / np.abs(1.0 - theta[ok] ** 2))
+    kappa[ok] = np.hypot(a[ok], w[ok]) / s[ok]
     return ModeFoci(lam_p, lam_m, theta, kappa, critical)
 
 

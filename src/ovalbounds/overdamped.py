@@ -26,7 +26,7 @@ import scipy.linalg.lapack
 
 from .errors import CertificateMissing, EpsilonTooLarge, NoConvergence
 from .matdense import DampedSystem, _readonly, spectral_norm
-from .modal import ModalForm, ModalSplit, quadratic_roots
+from .modal import ModalForm, ModalSplit, overdamped_modes, quadratic_roots, real_roots
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,14 @@ class DefinitenessInterval:
 
 @dataclass(frozen=True)
 class OverdampedCertificate:
-    """Sufficient-condition certificate: all deltas positive, the interval
-    (p_minus, p_plus) proving negative definiteness, and the eigenvalue
-    interval bounds it proves."""
+    """Sufficient-condition certificate: the interval (p_minus, p_plus)
+    proving negative definiteness, and the eigenvalue interval bounds it
+    proves."""
 
     variant: str
-    deltas: np.ndarray
     p_minus: float
     p_plus: float
     bounds: IntervalBounds
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", _readonly(self.deltas))
 
 
 @dataclass(frozen=True)
@@ -102,22 +98,6 @@ class EtaEnvelope:
 _DUFFIN_STEPS = 200
 
 
-def _duffin_roots(m: float, c: float, k: float) -> tuple[float, float] | None:
-    """Roots (p_minus, p_plus) of m t^2 + c t + k for m, k > 0, or None when
-    c <= 2 sqrt(mk) and there are no two distinct negative roots.  With
-    a = c/2 and h = sqrt(m) sqrt(k) the roots are the stable
-    q = -(a + sqrt(a - h) sqrt(a + h)), p_minus = q/m and p_plus = k/q: no
-    term squares an entry, so scaling m, c and k together by a power of two
-    changes neither the test nor the roots, and neither root is a
-    difference of nearly equal terms.  Roots that overflow are not
-    finite."""
-    a, h = 0.5 * c, math.sqrt(m) * math.sqrt(k)
-    if a <= h:
-        return None
-    q = -(a + math.sqrt(a - h) * math.sqrt(a + h))
-    return q / m, k / q
-
-
 def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float] | None]:
     """f = lambda_max(Q(mu)), its subgradient g = x'(2 mu M + C)x and the
     Duffin values of its unit eigenvector x, None when c <= 2 sqrt(mk) with
@@ -138,7 +118,7 @@ def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float
     m, c, k = ((MCK.reshape(3 * n, n) @ x).reshape(3, n) @ x).tolist()
     if not (0.0 < m < math.inf and 0.0 < k < math.inf and math.isfinite(c)):
         raise NoConvergence(f"the Duffin quadratic is not finite and positive at mu = {mu}")
-    roots = _duffin_roots(m, c, k)
+    roots = real_roots(m, c, k)
     if roots is not None and not math.isfinite(roots[0]):
         raise NoConvergence(f"the Duffin values overflow at mu = {mu}")
     return float(w[0]), 2.0 * mu * m + c, roots
@@ -173,7 +153,7 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
     M, C, K = sys.M.array, sys.C.array, sys.K.array
     ends = [-math.inf, 0.0]
     for m, c, k in zip(M.diagonal().tolist(), C.diagonal().tolist(), K.diagonal().tolist()):
-        roots = _duffin_roots(m, c, k)
+        roots = real_roots(m, c, k)
         if roots is None:
             return DefinitenessInterval.none()
         if not math.isfinite(roots[0]):
@@ -221,23 +201,21 @@ def sufficient_certificate(
     norm of the off-diagonal part, the ``gershgorin`` variant against the
     per-mode absolute row sum.  Success requires, for every mode,
 
-        d_jj - x_j > 2 omega_j        (so Delta_j = (d_jj - x_j)^2 - 4 omega_j^2 > 0
-                                       with negative quadratic roots)
+        d_jj - x_j > 2 omega_j
 
-    and a nonempty intersection p_minus < p_plus of the per-mode root
-    intervals.  The gap positivity is part of the dominance argument: with
-    d_jj <= x_j the quadratic roots turn positive and prove nothing.
-    Refusal is a value, not an error, and does not imply non-overdamped.
+    (the root kernel's real-roots test: x^2 + (d_jj - x_j) x + omega_j^2
+    has two distinct negative roots; "nonpositive delta" refuses a mode
+    with a positive gap that fails it), a nonempty intersection
+    p_minus < p_plus of the per-mode root intervals, and finite roots.  The
+    gap positivity is part of the dominance argument: with d_jj <= x_j the
+    quadratic roots turn positive and prove nothing.  Refusal is a value,
+    not an error, and does not imply non-overdamped.
 
     A certificate carries the per-mode bounds of the two eigenvalue groups.
     For mode j with perturbation size x_j (||Dprime|| or the row sum r_j)
-    the outer/inner endpoints are
-
-        (-d_jj - x_j +- sqrt((d_jj + x_j)^2 - 4 omega_j^2)) / 2
-        (-d_jj + x_j +- sqrt((d_jj - x_j)^2 - 4 omega_j^2)) / 2
-
-    giving the lower-group interval (outer-, inner-) and the upper-group
-    interval (inner+, outer+).
+    the outer and inner endpoints are the roots of x^2 + (d_jj + x_j) x +
+    omega_j^2 and x^2 + (d_jj - x_j) x + omega_j^2, giving the lower-group
+    interval (outer-, inner-) and the upper-group interval (inner+, outer+).
     """
     if not split.is_diagonal_mode:
         raise CertificateMissing("certificates require the diagonal split")
@@ -249,21 +227,23 @@ def sufficient_certificate(
     else:
         raise ValueError(f"unknown certificate variant {variant!r}")
     gap = d - x
-    deltas = gap * gap - 4.0 * omega**2
+    real = overdamped_modes(gap, omega)
     for j in range(len(d)):
         if gap[j] <= 0.0:
             return CertificateRefusal(variant, "nonpositive damping gap", j)
-        if deltas[j] <= 0.0:
+        if not real[j]:
             return CertificateRefusal(variant, "nonpositive delta", j)
-    p_minus, p_plus = _modal_interval(gap, omega)
+    inner_p, inner_m = (v.real for v in quadratic_roots(gap, omega))
+    with np.errstate(over="ignore"):  # a d + x that overflows is refused below
+        outer_p, outer_m = (v.real for v in quadratic_roots(d + x, omega))
+    if not np.isfinite(np.concatenate((inner_p, inner_m, outer_p, outer_m))).all():
+        return CertificateRefusal(variant, "root not finite", None)
+    p_minus, p_plus = float(np.max(inner_m)), float(np.min(inner_p))
     if not p_minus < p_plus:
         return CertificateRefusal(variant, "interval ordering failed", None)
-    outer_p, outer_m = quadratic_roots(d + x, omega)
-    inner_p, inner_m = quadratic_roots(d - x, omega)
-    lower = tuple(zip(outer_m.real.tolist(), inner_m.real.tolist()))
-    upper = tuple(zip(inner_p.real.tolist(), outer_p.real.tolist()))
-    bounds = IntervalBounds(variant, lower, upper)
-    return OverdampedCertificate(variant, deltas, p_minus, p_plus, bounds)
+    lower = tuple(zip(outer_m.tolist(), inner_m.tolist()))
+    upper = tuple(zip(inner_p.tolist(), outer_p.tolist()))
+    return OverdampedCertificate(variant, p_minus, p_plus, IntervalBounds(variant, lower, upper))
 
 
 def eigenvalue_intervals(
@@ -290,7 +270,7 @@ def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:
         raise ValueError("x must be nonzero")
     x = x / np.linalg.norm(x)
     m, c, k = (float(x @ S.array @ x) for S in (sys.M, sys.C, sys.K))
-    roots = _duffin_roots(m, c, k)
+    roots = real_roots(m, c, k)
     if roots is None:
         if 0.5 * c < math.sqrt(m) * math.sqrt(k):
             return None
@@ -371,7 +351,9 @@ def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
     reciprocal, so the sorted eigenvalue groups of the decoupled system
     (I, eta D, Omega^2) at these two viscosities bound the perturbed groups
     componentwise.  The interval check at eta_soft keeps every mode
-    overdamped at both, as eta_hard >= eta_soft.
+    overdamped at both, as eta_hard >= eta_soft: the root kernel's
+    real-roots test must hold for every mode of (I, eta_soft D, Omega^2),
+    and its root intervals must intersect.
     """
     D = form.D.array
     off = D - np.diag(np.diag(D))
@@ -380,22 +362,17 @@ def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
     if not 0.0 <= epsilon < 1.0:
         raise EpsilonTooLarge(f"epsilon must be in [0, 1), got {epsilon}")
     d = np.diag(D)
-    theta_margin = np.min(d / (2.0 * form.omega))
-    # admissibility: the softened viscosity must keep every mode overdamped
-    # and the definiteness intervals intersecting; the ratio test below is
-    # the per-mode necessary part, the interval check catches the rest.
     eta_soft = (1.0 - epsilon) / (1.0 + epsilon)
     eta_hard = (1.0 + epsilon) / (1.0 - epsilon)
-    if theta_margin * eta_soft < 1.0:
+    if not np.all(overdamped_modes(d * eta_soft, form.omega)):
         raise EpsilonTooLarge(
             f"epsilon {epsilon} drives a mode under critical damping"
         )
-    soft_lo, soft_hi = _modal_interval(d * eta_soft, form.omega)
-    if not soft_lo < soft_hi:
+    plus_soft, minus_soft = (np.sort(v.real) for v in quadratic_roots(d * eta_soft, form.omega))
+    if not minus_soft[-1] < plus_soft[0]:
         raise EpsilonTooLarge(
             f"epsilon {epsilon} breaks the definiteness interval intersection"
         )
-    plus_soft, minus_soft = (np.sort(v.real) for v in quadratic_roots(d * eta_soft, form.omega))
     plus_hard, minus_hard = (np.sort(v.real) for v in quadratic_roots(d * eta_hard, form.omega))
     return EtaEnvelope(
         epsilon=epsilon,
@@ -405,11 +382,3 @@ def eta_envelope(form: ModalForm, epsilon: float) -> EtaEnvelope:
         plus_upper=plus_hard,
     )
 
-
-def _modal_interval(d: np.ndarray, omega: np.ndarray) -> tuple[float, float]:
-    """Intersection of per-mode root intervals of a decoupled system."""
-    disc = d * d - 4.0 * omega**2
-    if np.any(disc <= 0.0):
-        return (0.0, 0.0)
-    plus, minus = quadratic_roots(d, omega)
-    return float(np.max(minus.real)), float(np.min(plus.real))

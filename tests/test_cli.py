@@ -258,8 +258,9 @@ class TestVerifyCommand:
             assert report.get(key) is True or skipped in report
 
     def test_json_report_is_strict(self, tmp_path, capsys):
-        # C = 1e200 overflows the modal foci, so some margins are nan or -inf;
-        # the JSON report writes them as the text report does, as strings
+        # C = 1e200 overflows the spectrum's residuals and the oval margins,
+        # so some margins are -inf; the JSON report writes them as the text
+        # report does, as strings
         path = write_scalar(tmp_path, 1.0, 1e200, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
@@ -267,7 +268,7 @@ class TestVerifyCommand:
             report = orjson.loads(capsys.readouterr().out)
             assert cli.main(["verify", "--input", str(path)]) == 3
         text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
-        assert report["MODAL_DISK_NORM.min_margin"] == text["MODAL_DISK_NORM.min_margin"] == "nan"
+        assert report["MODAL_OVAL_NORM.min_margin"] == text["MODAL_OVAL_NORM.min_margin"] == "-inf"
         assert report["BRAUER.min_margin"] == text["BRAUER.min_margin"] == "-inf"
 
     def test_violation_sets_exit_code(self, tmp_path, capsys, monkeypatch):

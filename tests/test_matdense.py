@@ -19,7 +19,6 @@ from ovalbounds.matdense import (
     cholesky,
     gen_sym_def_eig,
     load_system,
-    read_matrix_market,
     save_system,
     spectral_norm,
     sym_eig,
@@ -577,27 +576,3 @@ class TestFileIO:
         path.write_text('{"n": 2, "M": [1.0], "C": [0.0], "K": [1.0]}')
         with pytest.raises(InputError):
             load_system(path)
-
-    def test_matrix_market_array(self, tmp_path):
-        path = tmp_path / "m.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n5.0\n"
-        )
-        s = read_matrix_market(path)
-        assert np.allclose(s.array, [[1.0, 2.0], [2.0, 5.0]])
-
-    def test_matrix_market_coordinate(self, tmp_path):
-        path = tmp_path / "m.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real symmetric\n"
-            "3 3 4\n1 1 2.0\n2 2 3.0\n3 3 4.0\n3 1 0.5\n"
-        )
-        s = read_matrix_market(path)
-        expect = np.array([[2.0, 0.0, 0.5], [0.0, 3.0, 0.0], [0.5, 0.0, 4.0]])
-        assert np.allclose(s.array, expect)
-
-    def test_matrix_market_garbage(self, tmp_path):
-        path = tmp_path / "m.mtx"
-        path.write_text("not a matrix\n")
-        with pytest.raises(InputError):
-            read_matrix_market(path)

@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from ovalbounds.errors import InputError, NotPositiveDefinite, SingularFit
-from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm
+from ovalbounds.matdense import DampedSystem, SymMatrix, load_system, spectral_norm
 from ovalbounds.modal import (
     ModalForm,
     ModalSplit,
@@ -13,6 +14,7 @@ from ovalbounds.modal import (
     mode_singular_values,
     proportional_fit,
     quadratic_roots,
+    real_roots,
     spread_bounds,
     to_modal,
 )
@@ -358,6 +360,50 @@ class TestModeFoci:
                 tol = 1e-12 if abs(foci.theta[j] - 1.0) >= 1e-3 else 1e-9
                 assert abs(smin[j] - ref[1]) <= tol * ref[1], (w, foci.theta[j])
 
+    def test_huge_damping_ratio_is_finite(self):
+        # d/omega = 1e200: d^2 and theta^2 overflowed (foci inf+nanj, kappa
+        # nan); a warning would fail this test
+        form = form_from([1.0], np.array([[1e200]]))
+        foci = mode_foci(form, modal_split(form))
+        assert foci.lambda_plus[0] == pytest.approx(-1e-200, rel=1e-15)
+        assert foci.lambda_minus[0] == pytest.approx(-1e200, rel=1e-15)
+        assert foci.kappa[0] == pytest.approx(1.0, rel=1e-15)
+        assert not foci.any_critical
+
+    def test_damping_below_minus_two_omega(self):
+        # C is semidefinite only up to relative noise, so a mode can have
+        # d < -2 omega; its roots are then real and positive
+        sys_ = DampedSystem(
+            SymMatrix(np.eye(2)),
+            SymMatrix(np.diag([-1e-6, 100.0])),
+            SymMatrix(np.diag([9e-16, 1.0])),
+        )
+        form = to_modal(sys_)
+        split = modal_split(form)
+        foci = mode_foci(form, split)
+        d, w = split.diag[0], split.omega0[0]
+        assert d < -2.0 * w
+        for root, want in zip((foci.lambda_plus[0], foci.lambda_minus[0]), exact_roots(d, w)):
+            assert root.imag == 0.0 and abs(root.real - want) <= 4e-16 * abs(want)
+
+    def test_kappa_matches_closed_form(self):
+        # sqrt((1 + theta^2) / |1 - theta^2|) to 40 digits with the exact
+        # theta = d / (2 omega), densest near critical damping, where the
+        # closed form in floats loses digits
+        near = 10.0 ** -np.arange(3.0, 10.5, 0.5)
+        thetas = np.concatenate([np.geomspace(1e-3, 1e6, 91), 1.0 - near, 1.0 + near])
+        thetas = thetas[thetas != 1.0]
+        for w in (0.3, 1.0, 7.0):
+            form = form_from(np.full(len(thetas), w), np.diag(2.0 * w * thetas))
+            split = modal_split(form)
+            foci = mode_foci(form, split)
+            assert not foci.any_critical
+            with mpmath.workdps(40):
+                for d, kappa in zip(split.diag.tolist(), foci.kappa.tolist()):
+                    t2 = (mpmath.mpf(d) / (2 * mpmath.mpf(w))) ** 2
+                    want = mpmath.sqrt((1 + t2) / abs(1 - t2))
+                    assert abs(kappa - want) <= 4e-16 * want, d / w
+
     def test_singular_values_nan_at_critical(self):
         form = form_from([1.0, 2.0], np.diag([2.0, 1.0]))
         split = modal_split(form)
@@ -378,6 +424,14 @@ def assert_array_call_matches_scalar_calls(d, w):
     assert lam_p.tobytes() == np.array([p for p, _ in scalar]).tobytes()
     assert lam_m.tobytes() == np.array([m for _, m in scalar]).tobytes()
     return lam_p, lam_m
+
+
+def exact_roots(d, w):
+    """(plus, minus) of x^2 + d x + w^2 to 60 digits, enough for d/w = 1e12."""
+    with mpmath.workdps(60):
+        d, w = mpmath.mpf(d), mpmath.mpf(w)
+        r = mpmath.sqrt(d * d - 4 * w * w)
+        return (-d + r) / 2, (-d - r) / 2
 
 
 class TestQuadraticRoots:
@@ -409,6 +463,67 @@ class TestQuadraticRoots:
             assert_array_call_matches_scalar_calls(d, w)
 
         check()
+
+
+    @pytest.mark.parametrize("w", [0.3, 1.0, 7.0])
+    def test_stable_roots_to_1e12(self, w):
+        # the small root -w^2/d (1 + ...) has no cancellation: d^2 - 4 w^2
+        # gave -7.45e-9 for -1e-8 at d/w = 1e8
+        for e in range(1, 13):
+            d = 10.0**e * 2.0 * w
+            got = quadratic_roots(d, w)
+            for root, want in zip(got, exact_roots(d, w)):
+                assert root.imag == 0.0
+                assert abs(root.real - want) <= 4e-16 * abs(want), (e, root, want)
+
+    @pytest.mark.parametrize("s", [1e-165, 1e155, 2.0**-550, 2.0**550])
+    def test_common_scale(self, s):
+        # s (x^2 + 3x + 2) and s (x^2 + x + 1) in x/s: s^2 overflows or
+        # underflows, the roots do not
+        plus, minus = quadratic_roots(3.0 * s, np.sqrt(2.0) * s)
+        assert plus == pytest.approx(-s, rel=1e-15) and minus == pytest.approx(-2.0 * s, rel=1e-15)
+        plus, minus = quadratic_roots(s, s)
+        assert plus == pytest.approx(complex(-0.5, 0.75**0.5) * s, rel=1e-15)
+        assert minus == pytest.approx(complex(-0.5, -(0.75**0.5)) * s, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [-550, -20, 20, 550])
+    def test_power_of_two_scale_is_exact(self, k):
+        d = np.array([0.0, 0.3, 2.0, 3.0, 2e8, 5.0])
+        w = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), 1.0, 0.25])
+        s = 2.0**k
+        for got, base in zip(quadratic_roots(s * d, s * w), quadratic_roots(d, w)):
+            assert np.array_equal(got, s * base)
+
+    def test_float_entry_agrees_with_array_entry(self):
+        # sqrt(w*w) is w exactly, so both entries take the same q = -(a + s)
+        # and the minus roots are equal bit for bit; the plus root is
+        # (w*w)/q in the float entry and (w/q) w in the array entry, at most
+        # 2 ulps apart
+        rng = np.random.default_rng(3)
+        decades = 10.0 ** np.arange(0.0, 12.25, 0.25)  # d / (2 w), 1 to 1e12
+        w = np.repeat([0.3, 1.0, 7.0], len(decades))
+        w = np.concatenate([w, np.exp(rng.uniform(-20.0, 20.0, 2000))])
+        ratio = np.concatenate([np.tile(decades, 3), np.exp(rng.uniform(-3.0, 40.0, 2000))])
+        d = 2.0 * w * ratio
+        plus, minus = quadratic_roots(d, w)
+        for dj, wj, p, m in zip(d.tolist(), w.tolist(), plus.tolist(), minus.tolist()):
+            roots = real_roots(1.0, dj, wj * wj)
+            if roots is None:
+                assert dj / 2.0 <= wj and m.real == p.real
+                continue
+            assert p.imag == m.imag == 0.0
+            assert roots[0] == m.real
+            assert abs(roots[1] - p.real) <= 2.0 * np.spacing(abs(p.real))
+
+    def test_focus_of_a_strongly_damped_scalar_system(self, tmp_path):
+        # the exact focus is -1.00000001000000020e-4; d^2 - 4 omega^2 gave
+        # -1.0000000111e-4
+        path = tmp_path / "sys.json"
+        path.write_text('{"n":1,"M":[1],"C":[1e4],"K":[1]}')
+        form = to_modal(load_system(path))
+        foci = mode_foci(form, modal_split(form))
+        assert foci.lambda_plus[0] == pytest.approx(-1.00000001e-4, rel=1e-15)
+        assert foci.lambda_minus[0] == pytest.approx(-9999.9999, rel=1e-15)
 
 
 class TestSpreadBounds:

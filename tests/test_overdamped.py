@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -318,6 +319,39 @@ class TestSufficientCertificate:
         cert = sufficient_certificate(form, modal_split(form), "norm")
         assert isinstance(cert, CertificateRefusal)
         assert cert.reason == "nonpositive damping gap"
+
+    def test_huge_damping_gives_finite_certificate(self):
+        # d^2 - 4 omega^2 overflowed here and certified p_minus = -inf,
+        # p_plus = inf
+        sys_ = DampedSystem(
+            SymMatrix([[2.0, 0.5], [0.5, 1.0]]),
+            SymMatrix(1e160 * np.eye(2)),
+            SymMatrix([[1.0, 0.2], [0.2, 3.0]]),
+        )
+        form = to_modal(sys_)
+        for variant in ("norm", "gershgorin"):
+            cert = sufficient_certificate(form, modal_split(form), variant)
+            assert isinstance(cert, OverdampedCertificate)
+            assert cert.p_minus == pytest.approx(-3.1560859520884e159, rel=1e-12)
+            assert cert.p_plus == pytest.approx(-3.2573894134712e-160, rel=1e-12)
+            for lo, hi in cert.bounds.lower + cert.bounds.upper:
+                assert -np.inf < lo <= hi < 0.0
+        assert pencil_max_eigenvalue(sys_, -1.0) < 0.0
+
+    def test_overflowing_root_is_refused(self):
+        # SymMatrix bounds entries by half the largest double, which keeps
+        # d + x finite for a real split; a stand-in carries d = 1.79e308 so
+        # that the outer roots overflow
+        form = form_from([1.0, 2.0], np.eye(2))
+        split = SimpleNamespace(
+            is_diagonal_mode=True,
+            diag=np.array([1.79e308, 1.79e308]),
+            dprime_norm=1e306,
+            dprime_rowsums=np.array([1e306, 1e306]),
+        )
+        for variant in ("norm", "gershgorin"):
+            cert = sufficient_certificate(form, split, variant)
+            assert cert == CertificateRefusal(variant, "root not finite", None)
 
     def test_gershgorin_variant(self):
         form = form_from([1.0, 2.0], np.array([[6.0, 0.1], [0.1, 10.0]]))

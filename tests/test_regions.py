@@ -761,9 +761,9 @@ class TestBoundaryPolyline:
     def test_csgraph_loaded_only_by_tracing(self):
         # the chaining's scipy.sparse.csgraph adds 1-2 MB of peak RSS, which
         # commands that draw nothing should not pay; likewise scipy.ndimage,
-        # which only component_analysis uses, scipy.io and scipy.sparse,
-        # which only read_matrix_market uses (no command calls either), and
-        # orjson, which only load_system uses
+        # which only component_analysis uses, scipy.sparse, which only the
+        # chaining uses, scipy.io, which nothing uses, and orjson, which only
+        # load_system uses
         deferred = ["scipy.sparse.csgraph", "scipy.sparse", "scipy.ndimage", "scipy.io", "orjson"]
         code = f"import sys, ovalbounds.cli; print([m for m in {deferred} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(regions.__file__))}
