@@ -91,20 +91,20 @@ def _pivot_floor(A: np.ndarray) -> float:
     return A.shape[0] * np.finfo(float).eps * scale
 
 
-def _check_positive_definite(S, name: str) -> None:
-    """Raise :class:`NotPositiveDefinite` where :func:`cholesky` would, from a
-    LAPACK ``dpotrf`` factor that is then thrown away.
+def cholesky(S, name: str = "matrix") -> np.ndarray:
+    """Lower-triangular L with L @ L.T == S, by LAPACK ``dpotrf``; the one
+    positive-definiteness check of M, K and weights.
 
     Each pivot ``A[j, j] - L[j, :j] @ L[j, :j]`` is taken from the (partial)
-    factor.  The first index whose pivot is at or below :func:`_pivot_floor`,
-    or at which dpotrf stopped (``info - 1``), is reported with its pivot; a
-    pivot that overflowed (only possible far below zero) is reported as the
-    most negative double.
+    factor.  The first index whose pivot is at or below :func:`_pivot_floor`
+    (``n * eps * max|S|``, stricter than dpotrf's own pivot > 0), or at
+    which dpotrf stopped (``info - 1``), raises :class:`NotPositiveDefinite`
+    naming ``name``, the index and its pivot; a pivot that overflowed (only
+    possible far below zero) is reported as the most negative double.
     """
     A = _as_array(S)
     L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=1)  # upper triangle zeroed
-    np.fill_diagonal(L, 0.0)
-    rows = L[: info or A.shape[0]]  # through the failing row, if any
+    rows = np.tril(L[: info or A.shape[0]], -1)  # through the failing row, if any
     with np.errstate(over="ignore", invalid="ignore"):
         pivots = np.diag(A)[: len(rows)] - np.einsum("ij,ij->i", rows, rows)
     fails = np.flatnonzero(pivots <= _pivot_floor(A))
@@ -113,30 +113,6 @@ def _check_positive_definite(S, name: str) -> None:
     if fails.size:
         j, big = int(fails[0]), np.finfo(float).max
         raise NotPositiveDefinite(name, j, float(np.nan_to_num(pivots[j], nan=-big, neginf=-big)))
-
-
-def cholesky(S: SymMatrix, name: str = "matrix") -> np.ndarray:
-    """Lower-triangular L with L @ L.T == S, by a Python loop over columns.
-
-    Raises :class:`NotPositiveDefinite` with the offending pivot index when a
-    pivot drops to ``n * eps * max|S|`` or below.  Only the modal
-    reduction (:func:`gen_sym_def_eig`, behind ``modal.to_modal``) uses this
-    factor: the modal form's last bits still decide ``verify`` verdicts that
-    rounding can flip, so the loop stays until the audit allows for the
-    eigenvalues' own error.  Definiteness checks go through LAPACK
-    (``_check_positive_definite``).
-    """
-    A = _as_array(S)
-    n = A.shape[0]
-    floor = _pivot_floor(A)
-    L = np.zeros_like(A)
-    for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= floor:
-            raise NotPositiveDefinite(name, j, float(pivot))
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
     return L
 
 
@@ -153,20 +129,22 @@ def gen_sym_def_eig(K: SymMatrix, M: SymMatrix) -> tuple[np.ndarray, np.ndarray]
     """Solve K phi = w2 * M phi for positive definite K, M.
 
     Returns ascending squared frequencies ``w2`` and the matrix ``Phi`` with
-    Phi.T M Phi = I and Phi.T K Phi = diag(w2).  Reduction is the standard
-    Cholesky congruence M = L L.T, eigendecomposition of L^-1 K L^-T.  A
+    Phi.T M Phi = I and Phi.T K Phi = diag(w2), from LAPACK's generalized
+    symmetric-definite driver ``dsygvd`` (Cholesky congruence M = L L.T and
+    eigendecomposition of L^-1 K L^-T in one call).  M first passes
+    :func:`cholesky`, whose pivot floor the driver does not apply.  A
     smallest squared frequency at or below n * eps * max|w2| raises
     :class:`NonPositiveFrequency`; the floor scales with K, so K and s^2 K
     get the same verdict.
     """
-    L = cholesky(M, "M")
-    X = scipy.linalg.solve_triangular(L, _as_array(K), lower=True)
-    A = scipy.linalg.solve_triangular(L, X.T, lower=True).T
-    w2, V = sym_eig(SymMatrix(0.5 * (A + A.T)))
+    cholesky(M, "M")
+    try:
+        w2, Phi = scipy.linalg.eigh(_as_array(K), _as_array(M), driver="gvd")
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     floor = K.array.shape[0] * np.finfo(float).eps * np.max(np.abs(w2))
     if w2[0] <= floor:
         raise NonPositiveFrequency(f"squared frequency {w2[0]:.3e} is not positive")
-    Phi = scipy.linalg.solve_triangular(L.T, V, lower=False)
     return w2, Phi
 
 
@@ -211,8 +189,8 @@ class DampedSystem:
             raise InputError(
                 f"order mismatch: M is {n}, C is {self.C.order}, K is {self.K.order}"
             )
-        _check_positive_definite(self.M, "M")
-        _check_positive_definite(self.K, "K")
+        cholesky(self.M, "M")
+        cholesky(self.K, "K")
         w = np.linalg.eigvalsh(self.C.array)
         # for symmetric C the spectral norm is the largest |eigenvalue|
         if w.size and w[0] < -PSD_TOL * max(abs(w[0]), abs(w[-1]), 1e-300):

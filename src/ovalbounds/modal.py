@@ -20,8 +20,8 @@ from .matdense import (
     RTOL,
     DampedSystem,
     SymMatrix,
-    _check_positive_definite,
     _readonly,
+    cholesky,
     gen_sym_def_eig,
     spectral_norm,
     sym_eig,
@@ -181,14 +181,9 @@ def cluster_frequencies(omega, reltol: float = CLUSTER_RELTOL) -> tuple[tuple[in
     <= reltol * omega[i].
     """
     omega = np.asarray(omega, dtype=float)
-    blocks = []
-    start = 0
-    for i in range(1, len(omega)):
-        if omega[i] - omega[i - 1] > reltol * omega[i - 1]:
-            blocks.append((start, i))
-            start = i
-    blocks.append((start, len(omega)))
-    return tuple(blocks)
+    cuts = np.flatnonzero(np.diff(omega) > reltol * omega[:-1]) + 1
+    edges = [0, *cuts.tolist(), len(omega)]
+    return tuple(zip(edges[:-1], edges[1:]))
 
 
 def modal_split(
@@ -251,7 +246,7 @@ def proportional_fit(form: ModalForm, W: SymMatrix | None = None) -> Proportiona
     if W is not None:
         if Wa.shape != (n, n):
             raise InputError(f"weight W has order {Wa.shape[0]}, the modal form {n}")
-        _check_positive_definite(Wa, "W")
+        cholesky(Wa, "W")
     D = form.D.array
     Om = np.diag(form.omega**2)
     a11 = np.trace(Wa)

@@ -1137,7 +1137,10 @@ class ComponentAnalysis:
     resolution: int
 
     def locate(self, lam: complex) -> int | None:
-        """Component index whose cells are nearest to lam (3-cell search)."""
+        """Component index whose cells are nearest to lam (3-cell search);
+        None when lam is not finite or no component is that near."""
+        if not np.isfinite(lam):
+            return None
         ny, nx = self.labels.shape
         dx = (self.box.xmax - self.box.xmin) / nx
         dy = (self.box.ymax - self.box.ymin) / ny

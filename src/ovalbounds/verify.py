@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .matdense import Spectrum, _eig_sorted, _readonly
 from .modal import ModalForm
 from .regions import RegionUnion, _memberships
@@ -106,8 +107,10 @@ def compare_regions(
     Areas are box-area times hit fraction; subset_violations counts sampled
     points inside u1 but outside u2 (testing u1 contained in u2), with
     membership evaluated exactly; the samples are binned once for both
-    unions.
+    unions.  Fewer than one sample raises :class:`InputError`.
     """
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     box = u1.bounding_box().merge(u2.bounding_box())
     rng = np.random.default_rng(seed)
     xs = rng.uniform(box.xmin, box.xmax, samples)

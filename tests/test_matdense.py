@@ -7,13 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ovalbounds import cli
-from ovalbounds.errors import InputError, NotPositiveDefinite
+from ovalbounds.errors import InputError, NoConvergence, NotPositiveDefinite
 from ovalbounds.matdense import (
     DampedSystem,
     SymMatrix,
-    _check_positive_definite,
     _eig_sorted,
     _pivot_floor,
     cholesky,
@@ -76,13 +76,31 @@ class TestCholesky:
             assert np.max(np.abs(L @ L.T - S.array)) <= 1e-10 * scale
 
 
+def loop_cholesky(S, name="matrix"):
+    """Reference for the pivot contract of ``cholesky``: the column-by-column
+    factor with each pivot ``A[j, j] - L[j, :j] @ L[j, :j]`` compared with
+    the same floor."""
+    A = np.asarray(getattr(S, "array", S), dtype=float)
+    n = A.shape[0]
+    floor = _pivot_floor(A)
+    L = np.zeros_like(A)
+    for j in range(n):
+        pivot = A[j, j] - L[j, :j] @ L[j, :j]
+        if pivot <= floor:
+            raise NotPositiveDefinite(name, j, float(pivot))
+        L[j, j] = np.sqrt(pivot)
+        if j + 1 < n:
+            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
 def loop_pivots(A):
-    """The pivots ``cholesky`` takes, up to and including a failing one."""
+    """The pivots ``loop_cholesky`` takes, up to and including a failing one."""
     try:
-        return np.diag(cholesky(A)) ** 2
+        return np.diag(loop_cholesky(A)) ** 2
     except NotPositiveDefinite as err:
         j = err.index
-        return np.append(np.diag(cholesky(A[:j, :j])) ** 2, err.pivot)
+        return np.append(np.diag(loop_cholesky(A[:j, :j])) ** 2, err.pivot)
 
 
 def rejection(check, A):
@@ -125,8 +143,8 @@ class TestCheckPositiveDefinite:
             hypothesis.assume(
                 np.all(np.abs(p - floor) > 64 * np.finfo(float).eps * (diag + np.abs(diag - p)))
             )
-            old = rejection(cholesky, A)
-            new = rejection(_check_positive_definite, A)
+            old = rejection(loop_cholesky, A)
+            new = rejection(cholesky, A)
             assert (old is None) == (new is None)
             if old is not None:
                 assert (new.name, new.index) == (old.name, old.index) == ("S", len(p) - 1)
@@ -173,7 +191,7 @@ class TestCheckPositiveDefinite:
                     )
                     or kind == "zero"
                 )
-            for test in (cholesky, _check_positive_definite):
+            for test in (loop_cholesky, cholesky):
                 unit, other = rejection(test, A), rejection(test, scaled)
                 assert (unit is None) == (other is None)
                 if unit is not None:
@@ -187,30 +205,30 @@ class TestCheckPositiveDefinite:
     def test_tiny_matrices_are_positive_definite(self):
         for scale in (1e-16, 1e-300):
             S = SymMatrix(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
-            _check_positive_definite(S, "M")
-            assert np.all(np.diag(cholesky(S)) > 0.0)
+            assert np.all(np.diag(cholesky(S, "M")) > 0.0)
+            assert np.all(np.diag(loop_cholesky(S)) > 0.0)
         with pytest.raises(NotPositiveDefinite) as err:
-            _check_positive_definite(np.zeros((2, 2)), "M")
+            cholesky(np.zeros((2, 2)), "M")
         assert (err.value.index, err.value.pivot) == (0, 0.0)
 
     def test_pivot_from_the_partial_factor(self):
         S = SymMatrix([[4.0, 2.0, 0.0], [2.0, 5.0, 4.0], [0.0, 4.0, 3.0]])
         with pytest.raises(NotPositiveDefinite) as err:
-            _check_positive_definite(S, "K")
+            cholesky(S, "K")
         assert (err.value.name, err.value.index, err.value.pivot) == ("K", 2, -1.0)
 
     def test_pivot_at_the_floor(self):
         floor = _pivot_floor(np.eye(2))
         with pytest.raises(NotPositiveDefinite) as err:
-            _check_positive_definite(np.diag([1.0, floor]), "M")
+            cholesky(np.diag([1.0, floor]), "M")
         assert (err.value.index, err.value.pivot) == (1, floor)
-        _check_positive_definite(np.diag([1.0, 2.0 * floor]), "M")
+        cholesky(np.diag([1.0, 2.0 * floor]), "M")
 
     def test_overflowing_pivot_is_finite(self):
         # L[1, 0] = 1e300 / 1e143 squares to inf, so the pivot is -inf
         S = SymMatrix([[1e286, 1e300], [1e300, 1e300]])
         with pytest.raises(NotPositiveDefinite) as err:
-            _check_positive_definite(S, "K")
+            cholesky(S, "K")
         assert (err.value.index, err.value.pivot) == (1, -np.finfo(float).max)
 
 
@@ -277,8 +295,26 @@ class TestGenSymDefEig:
         assert np.allclose(w2, w_ref, rtol=1e-10, atol=1e-12)
 
     def test_not_pd_mass(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite) as err:
             gen_sym_def_eig(SymMatrix(np.eye(2)), SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
+        assert (err.value.name, err.value.index) == ("M", 1)
+
+    def test_mass_pivot_at_the_floor(self):
+        # dsygvd's own Cholesky accepts any positive pivot; the floor is
+        # n * eps * max|M|
+        M = np.diag([1.0, _pivot_floor(np.eye(2))])
+        assert scipy.linalg.lapack.dpotrf(M)[1] == 0
+        with pytest.raises(NotPositiveDefinite) as err:
+            gen_sym_def_eig(SymMatrix(np.eye(2)), SymMatrix(M))
+        assert (err.value.name, err.value.index) == ("M", 1)
+
+    def test_driver_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("dsygvd failed in the test")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence, match="dsygvd failed in the test"):
+            gen_sym_def_eig(SymMatrix(np.eye(2)), SymMatrix(np.eye(2)))
 
     def test_indefinite_stiffness(self):
         from ovalbounds.errors import NonPositiveFrequency

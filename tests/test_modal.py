@@ -110,6 +110,33 @@ class TestClusterFrequencies:
     def test_all_singletons(self):
         assert cluster_frequencies([1.0, 2.0, 3.0], 1e-8) == ((0, 1), (1, 2), (2, 3))
 
+    def test_equals_the_loop(self):
+        def loop(omega, reltol):
+            blocks, start = [], 0
+            for i in range(1, len(omega)):
+                if omega[i] - omega[i - 1] > reltol * omega[i - 1]:
+                    blocks.append((start, i))
+                    start = i
+            blocks.append((start, len(omega)))
+            return tuple(blocks)
+
+        # with reltol = 2^-10 and integer frequencies below 2^30 the step
+        # w + reltol * w is exact, so the gap equals reltol * w
+        assert cluster_frequencies([1000.0, 1000.0 + 1000.0 / 1024], 2.0**-10) == ((0, 2),)
+        rng = np.random.default_rng(103)
+        for _ in range(500):
+            n = int(rng.integers(0, 25))
+            reltol = float(rng.choice([2.0**-10, 1e-6, 0.1]))
+            omega = [float(rng.integers(1, 2**30))]
+            for step in rng.integers(0, 4, n):
+                w = omega[-1]
+                exact = w + reltol * w
+                omega.append([w, exact, np.nextafter(exact, np.inf), w * rng.uniform(1.0, 3.0)][step])
+            omega = np.array(omega[:n])
+            blocks = cluster_frequencies(omega, reltol)
+            assert blocks == loop(omega, reltol)
+            assert all(type(i) is int for block in blocks for i in block)
+
 
 class TestModalSplit:
     def test_diagonal_damping_gives_zero_perturbation(self):

@@ -1276,6 +1276,8 @@ class TestComponentAnalysis:
         assert left is not None and right is not None and left != right
         assert ca.components[left].modes == (0,)
         assert ca.components[right].modes == (1,)
+        for lam in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(np.inf, np.nan)):
+            assert ca.locate(lam) is None
 
     def test_huge_extension_without_overflow_warnings(self):
         # margins overflow to -inf near |z| = 1e154, outside every oval
