@@ -148,18 +148,17 @@ def gen_sym_def_eig(K: SymMatrix, M: SymMatrix) -> tuple[np.ndarray, np.ndarray]
     return w2, Phi
 
 
-def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a finite real square matrix sorted by (real, imag), and
-    its right eigenvectors as columns in the same order."""
+def _eigvals_sorted(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a finite real square matrix sorted by (real, imag),
+    from LAPACK ``dgeev`` without eigenvectors."""
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise InputError("matrix entries must be finite")
     try:
-        vals, vecs = scipy.linalg.eig(A)
+        vals = scipy.linalg.eigvals(A)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NoConvergence(str(exc)) from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order]
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def spectral_norm(S) -> float:
@@ -203,18 +202,15 @@ class DampedSystem:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """2n eigenvalues of the linearized quadratic problem with residuals."""
+    """2n eigenvalues of the linearized quadratic problem."""
 
     values: np.ndarray
-    residuals: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        r = np.asarray(self.residuals, dtype=float)
-        if v.shape != r.shape or v.ndim != 1:
-            raise InputError("values and residuals must be 1-d and the same length")
-        object.__setattr__(self, "values", _readonly(v, complex))
-        object.__setattr__(self, "residuals", _readonly(r))
+        v = _readonly(self.values, complex)
+        if v.ndim != 1:
+            raise InputError("values must be 1-d")
+        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -107,9 +107,9 @@ def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float
     be, or Duffin values that overflow raise NoConvergence."""
     M, C, K = MCK
     n = len(M)
-    w, v, found, _, info = scipy.linalg.lapack.dsyevr(
-        mu * mu * M + mu * C + K, range="I", il=n, iu=n
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = mu * mu * M + mu * C + K
+    w, v, found, _, info = scipy.linalg.lapack.dsyevr(Q, range="I", il=n, iu=n)
     if info:
         raise NoConvergence(f"dsyevr failed with info {info} at mu = {mu}")
     if found != 1 or not math.isfinite(w[0]):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matdense import Spectrum, _eig_sorted, _readonly
+from .matdense import Spectrum, _eigvals_sorted, _readonly
 from .modal import ModalForm
 from .regions import RegionUnion, _memberships
 
@@ -22,28 +22,15 @@ def linearize(form: ModalForm) -> np.ndarray:
     return np.block([[np.zeros((n, n)), W], [-W, -form.D.array]])
 
 
-def qep_residuals(form: ModalForm, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Eigenvector residuals ||Q(lam) x|| / ||x|| of Q(lam) = lam^2 I + lam D + Omega^2.
-
-    Column i of ``vectors`` is the vector x paired with ``values[i]``.  Each
-    residual bounds the smallest singular value of Q(lam) from above.
-    """
-    X = vectors
-    R = values**2 * X + values * (form.D.array @ X) + (form.omega**2)[:, None] * X
-    return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
-
-
 def true_spectrum(form: ModalForm) -> Spectrum:
-    """All 2n eigenvalues of the quadratic problem, with eigenvector residuals.
+    """All 2n eigenvalues of the quadratic problem, sorted by (real, imag).
 
-    One eigendecomposition of the block linearization gives the values and
-    their right eigenvectors [u; x]; since W x = lam u and -W u - D x = lam x,
-    the lower half x satisfies Q(lam) x = 0, and the reported residual is
-    ||Q(lam) x|| / ||x||, an upper bound on the smallest singular value of
-    Q(lam).
+    The eigenvalues of the block linearization are those of
+    Q(lam) = lam^2 I + lam D + Omega^2: for an eigenvector [u; x], W x = lam u
+    and -W u - D x = lam x give Q(lam) x = 0.  One LAPACK ``dgeev`` call
+    computes them without eigenvectors.
     """
-    values, vectors = _eig_sorted(linearize(form))
-    return Spectrum(values, qep_residuals(form, values, vectors[form.order :]))
+    return Spectrum(_eigvals_sorted(linearize(form)))
 
 
 @dataclass(frozen=True)

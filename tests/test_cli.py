@@ -258,15 +258,12 @@ class TestVerifyCommand:
             assert report.get(key) is True or skipped in report
 
     def test_json_report_is_strict(self, tmp_path, capsys):
-        # C = 1e200 overflows the spectrum's residuals and the oval margins,
-        # so some margins are -inf; the JSON report writes them as the text
-        # report does, as strings
+        # at C = 1e200 some oval margins are -inf; the JSON report writes
+        # them as the text report does, as strings
         path = write_scalar(tmp_path, 1.0, 1e200, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-            assert cli.main(["verify", "--input", str(path), "--json"]) == 3
-            report = orjson.loads(capsys.readouterr().out)
-            assert cli.main(["verify", "--input", str(path)]) == 3
+        assert cli.main(["verify", "--input", str(path), "--json"]) == 3
+        report = orjson.loads(capsys.readouterr().out)
+        assert cli.main(["verify", "--input", str(path)]) == 3
         text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         assert report["MODAL_OVAL_NORM.min_margin"] == text["MODAL_OVAL_NORM.min_margin"] == "-inf"
         assert report["BRAUER.min_margin"] == text["BRAUER.min_margin"] == "-inf"
@@ -412,9 +409,7 @@ class TestJsonReport:
         capsys.readouterr()
         for path, command in cases:
             reports.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # C = 1e200 overflows
-                code = cli.main([*command, "--input", str(path), "--json"])
+            code = cli.main([*command, "--input", str(path), "--json"])
             assert code in (0, 3)
             (report,) = reports
             assert capsys.readouterr().out == reference_json(report) + "\n"
@@ -619,13 +614,11 @@ class TestNumericalFailure:
         )
         out = tmp_path / "gen.json"
         argv = ["gen", "--n", "3", "--gamma", "1e170", "--overdamped", "--output", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the modal foci and Q(mu) overflow
-            assert cli.main(["overdamped", "--input", str(path)]) == 4
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "error: Q(mu) overflows at mu = -5e+159\n"
-            assert cli.main(argv) == 4
+        assert cli.main(["overdamped", "--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Q(mu) overflows at mu = -5e+159\n"
+        assert cli.main(argv) == 4
         assert capsys.readouterr().err.startswith("error: Q(mu) overflows at mu = ")
         assert not out.exists()
 

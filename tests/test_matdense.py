@@ -14,7 +14,7 @@ from ovalbounds.errors import InputError, NoConvergence, NotPositiveDefinite
 from ovalbounds.matdense import (
     DampedSystem,
     SymMatrix,
-    _eig_sorted,
+    _eigvals_sorted,
     _pivot_floor,
     cholesky,
     gen_sym_def_eig,
@@ -345,28 +345,40 @@ class TestGenSymDefEig:
 
 
 class TestComplexEig:
-    """Complex eigenvalues of a general real matrix, from the sorted LAPACK
-    eigendecomposition behind ``true_spectrum``."""
+    """Complex eigenvalues of a general real matrix, sorted, from the LAPACK
+    ``dgeev`` call without eigenvectors behind ``true_spectrum``."""
 
     def test_skew(self):
-        vals, _ = _eig_sorted(np.array([[0.0, 2.0], [-2.0, 0.0]]))
+        vals = _eigvals_sorted(np.array([[0.0, 2.0], [-2.0, 0.0]]))
         assert np.allclose(sorted(vals, key=lambda z: z.imag), [-2j, 2j])
 
     def test_triangular(self):
-        vals, _ = _eig_sorted(np.triu(np.ones((3, 3))) + np.diag([0.0, 1.0, 2.0]))
+        vals = _eigvals_sorted(np.triu(np.ones((3, 3))) + np.diag([0.0, 1.0, 2.0]))
         assert np.allclose(vals, [1.0, 2.0, 3.0])
 
     def test_companion(self):
         # companion of x^2 + 3x + 2 has roots -1, -2
-        vals, _ = _eig_sorted(np.array([[0.0, 1.0], [-2.0, -3.0]]))
+        vals = _eigvals_sorted(np.array([[0.0, 1.0], [-2.0, -3.0]]))
         assert np.allclose(vals, [-2.0, -1.0])
+
+    def test_non_finite_is_input_error(self):
+        with pytest.raises(InputError, match="finite"):
+            _eigvals_sorted(np.array([[0.0, np.inf], [1.0, 0.0]]))
+
+    def test_driver_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("dgeev failed in the test")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+        with pytest.raises(NoConvergence, match="dgeev failed in the test"):
+            _eigvals_sorted(np.eye(2))
 
     def test_residuals_and_conjugate_closure(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             n = int(rng.integers(1, 12))
             A = rng.standard_normal((n, n))
-            vals, _ = _eig_sorted(A)
+            vals = _eigvals_sorted(A)
             norm = spectral_norm(A)
             for lam in vals:
                 smin = np.linalg.svd(A - lam * np.eye(n), compute_uv=False)[-1]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ovalbounds.errors import CriticalModePresent, InputError
 from ovalbounds.matdense import DampedSystem, Spectrum, SymMatrix, spectral_norm
@@ -129,31 +130,41 @@ class TestTrueSpectrum:
         expect = np.concatenate([foci.lambda_plus, foci.lambda_minus])
         assert np.allclose(np.sort_complex(spec.values), np.sort_complex(expect), atol=1e-10)
 
+    @staticmethod
+    def assert_singular_at_eigenvalues(form, spec):
+        # sigma_min(Q(lam)) is the smallest residual ||Q(lam) x|| / ||x|| over
+        # all x; a backward-stable eigenvalue makes it rounding-level
+        n = form.order
+        for lam in spec.values:
+            Q = lam * lam * np.eye(n) + lam * form.D.array + np.diag(form.omega**2)
+            smallest = np.linalg.svd(Q, compute_uv=False)[-1]
+            assert smallest <= 1e-8 * spectral_scale(form, complex(lam))
+
     def test_residual_bound_sweep(self):
         for seed in range(20):
             n = int(np.random.default_rng(seed).integers(1, 9))
-            sys_ = random_system(n, 500 + seed)
-            form = to_modal(sys_)
+            form = to_modal(random_system(n, 500 + seed))
             spec = true_spectrum(form)
             assert len(spec) == 2 * n
-            for lam, res in zip(spec.values, spec.residuals):
-                assert res <= 1e-8 * spectral_scale(form, complex(lam))
+            self.assert_singular_at_eigenvalues(form, spec)
 
     def test_residual_bounds_smallest_singular_value(self):
-        # ||Q(lam) x|| / ||x|| >= sigma_min(Q(lam)) holds exactly; both sides
-        # are rounding-level numbers here, so the comparison allows one
-        # rounding error of Q's entries on top of the relative 1e-12.
-        eps = np.finfo(float).eps
         for seed in range(30):
             n = int(np.random.default_rng(seed).integers(1, 9))
             form = to_modal(random_system(n, 1500 + seed))
-            spec = true_spectrum(form)
-            for lam, res in zip(spec.values, spec.residuals):
-                scale = spectral_scale(form, complex(lam))
-                Q = lam * lam * np.eye(n) + lam * form.D.array + np.diag(form.omega**2)
-                smallest = np.linalg.svd(Q, compute_uv=False)[-1]
-                assert res >= smallest * (1.0 - 1e-12) - n * eps * scale
-                assert res <= 1e-8 * scale
+            self.assert_singular_at_eigenvalues(form, true_spectrum(form))
+
+    @pytest.mark.parametrize("overdamped", [False, True])
+    @pytest.mark.parametrize("n", [*range(1, 13), 50])
+    def test_matches_full_eigendecomposition(self, n, overdamped):
+        # without eigenvectors dgeev's QR iteration updates only the active
+        # block, not the whole Schur form, so the two paths may differ by
+        # rounding
+        form = to_modal(random_system(n, n, overdamped=overdamped))
+        vals, _ = scipy.linalg.eig(linearize(form))
+        ref = vals[np.lexsort((vals.imag, vals.real))]
+        got = true_spectrum(form).values
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     def test_conjugate_closure(self):
         for seed in range(20):
@@ -230,7 +241,7 @@ class TestCheckInclusion:
             z = rng.uniform(box.xmin, box.xmax, 3000) + 1j * rng.uniform(box.ymin, box.ymax, 3000)
             best, _ = u.best_margin(z)
             z = z[np.abs(best) / (1.0 + np.abs(z) ** 2) > 1e-6]  # off the boundary
-            report = check_inclusion(Spectrum(z, np.zeros(len(z))), u)
+            report = check_inclusion(Spectrum(z), u)
             inside = u.membership_many(z)
             assert 0 < np.sum(inside) < len(z)
             assert [a is not None for a in report.assigned] == list(inside)
