@@ -42,8 +42,12 @@ class Box:
         )
 
     def padded(self, frac: float) -> "Box":
-        dx = max(self.xmax - self.xmin, 1e-12) * frac
-        dy = max(self.ymax - self.ymin, 1e-12) * frac
+        """Each side grown by frac of its width at both ends.  A side of
+        width zero takes the other side's width, or else the largest |edge|,
+        or else 1, so the padding scales with the box."""
+        w, h = self.xmax - self.xmin, self.ymax - self.ymin
+        fill = max(w, h) or max(map(abs, (self.xmin, self.xmax, self.ymin, self.ymax))) or 1.0
+        dx, dy = (w or fill) * frac, (h or fill) * frac
         return Box(self.xmin - dx, self.xmax + dx, self.ymin - dy, self.ymax + dy)
 
 
@@ -165,18 +169,13 @@ BLOCK_CELLS = 4
 #: well above the few ulps of each of the two margins and of the bound.
 _ROUNDING = 256 * np.finfo(float).eps
 
-#: Modes from which a BRAUER union's ``best_margin`` searches each point's
-#: Pareto front of modes instead of the table of all pairs.  At the 2n
-#: eigenvalues of ``cli.random_system(n, s)``, s = 0 to 3, the table took
-#: 0.73 ms against the front's 0.86 ms at n = 44 and 1.23 against 0.97 ms
-#: at n = 52 (2 vCPU, one BLAS thread; 12 against 78 ms at n = 200).
+#: Modes from which a BRAUER union's ``best_margin`` settles a point from
+#: its Pareto front of modes where that leaves one pair open, and hands only
+#: the other points to the table of all pairs.  At the 2n eigenvalues of
+#: ``cli.random_system(n, s)``, s = 0 to 3, the table took 0.45 ms against
+#: the front's 0.38 ms at n = 44 and 0.74 against 0.48 ms at n = 52 (2 vCPU,
+#: one BLAS thread; 37 against 5.5 ms at n = 200).
 FRONT_ORDER = 48
-
-#: A pair evaluated on its own costs about as much as this many entries of
-#: the table: with every mode in S (``_front_best_margin``), BRAUER at
-#: n = 60 and 200 took 12 to 14 times the table's time.  A point whose S
-#: holds more than len / _PAIR_COST pairs goes through the table.
-_PAIR_COST = 16
 
 #: The moduli |z| and focus distances, and the square roots of the radii,
 #: that the Pareto-front search takes: 0 or within these limits, so that
@@ -354,8 +353,9 @@ class _DoubleOvals(_Kind):
     ``radii`` marks the product form that ``build_regions`` makes for n >= 2
     modes: the pairs a < b in ``np.triu_indices`` order, with bounds
     radii[a] * radii[b].  From FRONT_ORDER modes on, its ``best_margin``
-    evaluates only the pairs that each point's Pareto front of modes leaves
-    open (``_front_best_margin``); packed primitive values keep the table.
+    settles each point whose Pareto front of modes leaves one pair open
+    (``_front``) and hands the other points to the table; packed primitive
+    values keep the table.
     """
 
     primitive = DoubleOval
@@ -441,15 +441,10 @@ class _DoubleOvals(_Kind):
         return spread
 
     def best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """As ``_Kind.best_margin``; a product form of FRONT_ORDER modes or
-        more goes through ``_front_best_margin``, with the same result."""
-        if self.radii is None or len(self.radii) < FRONT_ORDER:
-            return super().best_margin(z)
-        return self._front_best_margin(z)
-
-    def _front_best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """The table's ``best_margin`` of the product form, bit for bit, from
-        each point's Pareto front of modes.
+        """As ``_Kind.best_margin``, bit for bit.  A product form of
+        FRONT_ORDER modes or more first settles what it can from each
+        point's Pareto front of modes (``_front``), chunk by chunk; the
+        other points go through the table.
 
         A pair's margin separates: m_ab = s r_a r_b - P_a P_b, with s = |z|^2,
         r = ``radii`` >= 0 and P_k = |z - plus[k]| |z - minus[k]| >= 0, so it
@@ -472,42 +467,36 @@ class _DoubleOvals(_Kind):
         so R_a's last rounding cannot take it below the margin.
 
         L, the computed margin of the pair of the two largest R_a, is at most
-        the table's maximum.  So each pair whose computed margin attains that
-        maximum, ties included, has both modes in S = {a : R_a >= L}.  Only
-        the pairs within S are evaluated, by ``margins(z, rows)``, which
-        gives their table entries bit for bit; in the table's order, their
-        maximum and its first index are the table's.  Points outside the
-        range, nan and infinite ones among them, go through the table, and
-        so do points whose S holds more than len / _PAIR_COST pairs, where
-        the table is faster.
+        the table's maximum, so every pair attaining that maximum has both
+        modes in S = {a : R_a >= L}.  Where S holds L's pair alone, L is the
+        maximum and its pair the only one attaining it.  Every other point,
+        and every point outside the range (nan and infinite ones among
+        them), goes through the table.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        if not _moderate(self.radii, 2).all():
-            return super().best_margin(z)
+        search = self.radii is not None and len(self.radii) >= FRONT_ORDER
+        search = search and _moderate(self.radii, 2).all()
         best = np.empty(len(flat))
         index = np.empty(len(flat), dtype=int)
-        step = max(1, CHUNK_ELEMENTS // len(self.radii))
+        step = max(1, CHUNK_ELEMENTS // len(self.radii) if search else len(flat))
         with _quiet():
             for lo in range(0, len(flat), step):
                 at = slice(lo, lo + step)
-                chunk = flat[at]
-                absz = np.abs(chunk)
-                dplus, dminus = (np.abs(chunk[:, None] - f) for f in (self.plus, self.minus))
-                ok = _moderate(absz) & _moderate(dplus).all(axis=1) & _moderate(dminus).all(axis=1)
-                if ok.any():
-                    best[at][ok], index[at][ok] = self._front(
-                        chunk[ok], absz[ok] ** 2, dplus[ok] * dminus[ok]
-                    )
-                if not ok.all():
-                    best[at][~ok], index[at][~ok] = super().best_margin(chunk[~ok])
+                rest = ~self._front(flat[at], best[at], index[at]) if search else slice(None)
+                best[at][rest], index[at][rest] = super().best_margin(flat[at][rest])
         return best.reshape(z.shape), index.reshape(z.shape)
 
-    def _front(self, z, s, P) -> tuple[np.ndarray, np.ndarray]:
-        """``_front_best_margin`` at in-range points z, with s = |z|^2 and
-        the modes' products P as (points, modes)."""
+    def _front(self, z, best, index) -> np.ndarray:
+        """Settle ``best_margin`` at the 1-d points z where the front leaves
+        one pair open: write best and index there and return that mask."""
+        absz = np.abs(z)
+        dplus, dminus = (np.abs(z[:, None] - f) for f in (self.plus, self.minus))
+        settled = _moderate(absz) & _moderate(dplus).all(axis=1) & _moderate(dminus).all(axis=1)
+        if not settled.any():
+            return settled
+        z, s, P = z[settled], absz[settled] ** 2, dplus[settled] * dminus[settled]
         r, order = self.radii, self._by_radius
-        points = np.arange(len(z))
         # the front in order of radius: where P falls below every earlier P
         Pr = P[:, order]
         front = np.ones(Pr.shape, dtype=bool)
@@ -532,43 +521,16 @@ class _DoubleOvals(_Kind):
         R[by_size] = Rs
 
         first = np.argmax(R, axis=1)
-        top = R[points, first]
-        R[points, first] = -np.inf
+        np.put_along_axis(R, first[:, None], -np.inf, axis=1)
         second = np.argmax(R, axis=1)
-        R[points, first] = top
-        index = self._pair(np.minimum(first, second), np.maximum(first, second))
-        best = self.margins(z, index)
-        # the pairs within each point's S, in groups of points of about
-        # CHUNK_ELEMENTS pairs; where S is L's pair alone, L is the maximum
-        pt, a = np.nonzero(R >= best[:, None])
-        count = np.bincount(pt, minlength=len(z))
-        table = count * (count - 1) // 2 * _PAIR_COST > len(self)
-        count[(count == 2) | table] = 0
-        more = count[pt] > 0
-        pt, a = pt[more], a[more]
-        group = np.cumsum(count * (count - 1) // 2) // CHUNK_ELEMENTS
-        for g in np.unique(group[pt]).tolist():
-            mine = group[pt] == g
-            at, pairs = self._pairs_within(pt[mine], a[mine])
-            m = self.margins(z[at], pairs)
-            heads = np.flatnonzero(np.diff(at, prepend=-1))
-            done = at[heads]
-            best[done] = np.maximum.reduceat(m, heads)
-            index[done] = np.minimum.reduceat(np.where(m == best[at], pairs, len(self)), heads)
-        if table.any():
-            best[table], index[table] = super().best_margin(z[table])
-        return best, index
-
-    def _pairs_within(self, pt, a):
-        """For sets of modes a given point by point (pt ascending, a
-        ascending within a point), each set's pairs in the table's order:
-        their points and pair indices."""
-        start = np.flatnonzero(np.diff(pt, prepend=-1))
-        size = np.diff(np.append(start, len(pt)))
-        later = np.repeat(size, size) - (np.arange(len(pt)) - np.repeat(start, size)) - 1
-        head = np.repeat(np.arange(len(pt)), later)
-        tail = head + 1 + np.arange(len(head)) - np.repeat(np.cumsum(later) - later, later)
-        return pt[head], self._pair(a[head], a[tail])
+        pair = self._pair(np.minimum(first, second), np.maximum(first, second))
+        L = self.margins(z, pair)
+        # R >= L at both of L's modes, so with first's R dropped, S is L's
+        # pair alone where only second's R reaches L
+        alone = np.count_nonzero(R >= L[:, None], axis=1) == 1
+        settled[settled] = alone
+        best[settled], index[settled] = L[alone], pair[alone]
+        return settled
 
     def _pair(self, a, b):
         """Index of the pair a < b in ``np.triu_indices`` order."""
@@ -872,13 +834,9 @@ def build_regions(
                     f"critical mode at index {int(np.argmax(foci.critical))}"
                 )
             if method is Method.MODAL_DISK_APPROX:
-                # advisory linearization of the oval width; the scalar abs()
-                # differs from np.abs in the last bit and fixes the radii
+                # advisory linearization of the oval width
                 gaps = np.abs(plus - minus)
-                r_plus, r_minus = (
-                    [split.dprime_norm * abs(f) / g for f, g in zip(fs, gaps)]
-                    for fs in (plus, minus)
-                )
+                r_plus, r_minus = (split.dprime_norm * _moduli(fs) / gaps for fs in (plus, minus))
                 return _disk_pairs(method, plus, minus, r_plus, r_minus)
             smax, smin = mode_singular_values(split, foci)
             if method is Method.MODAL_DISK_NORM:
@@ -967,11 +925,13 @@ def _grid_lines(lo, hi, w: int) -> np.ndarray:
 
 def _trace(kind: _Kind, rows, boxes, resolution: int) -> list[list[np.ndarray]]:
     """The loops of the kind's primitives ``rows``, a list per row, each
-    traced on its bounding box padded as ``Box.padded(0.05)`` pads it."""
+    traced on its bounding box padded as ``Box.padded(0.05)`` pads it: by
+    its own widths, which are positive for a primitive that is not
+    degenerate."""
     w = resolution + 1
     xmin, xmax, ymin, ymax = (edge[rows] for edge in boxes)
-    dx = np.maximum(xmax - xmin, 1e-12) * 0.05
-    dy = np.maximum(ymax - ymin, 1e-12) * 0.05
+    dx = (xmax - xmin) * 0.05
+    dy = (ymax - ymin) * 0.05
     xs = _grid_lines(xmin - dx, xmax + dx, w)
     ys = _grid_lines(ymin - dy, ymax + dy, w)
     for _, level, verdict in _descend(kind, rows, xs, ys, resolution, 1):

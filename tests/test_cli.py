@@ -209,6 +209,17 @@ class TestPlotCommand:
         assert cli.main(argv) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("method", ["MODAL_DISK_ROWSUM", "UNDAMPED_DISK_NORM"])
+    def test_undamped_figure_is_padded_by_its_height(self, tmp_path, method):
+        # every disk and eigenvalue lies on x = 0, so the box has no width
+        # of its own to pad
+        path = tmp_path / "sys.json"
+        assert cli.main(["gen", "--n", "3", "--seed", "1", "--gamma", "0", "--output", str(path)]) == 0
+        svg = tmp_path / "x.svg"
+        assert cli.main(["plot", "--input", str(path), "--output", str(svg), "--method", method]) == 0
+        height = float(re.search(r'<svg [^>]* height="([^"]*)"', svg.read_text()).group(1))
+        assert np.isfinite(height) and height < 1e4
+
     def test_svg_path_formats_each_coordinate_as_f6(self):
         # one %-format over the loop against the per-vertex f-strings it replaced
         rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import functools
+import itertools
 import os
 import re
 import subprocess
@@ -12,7 +14,7 @@ import scipy.ndimage
 
 from ovalbounds import cli, regions
 from ovalbounds.errors import CriticalModePresent, InputError, ResolutionTooCoarse
-from ovalbounds.matdense import SymMatrix, spectral_norm
+from ovalbounds.matdense import DampedSystem, SymMatrix, spectral_norm
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, quadratic_roots, to_modal
 from ovalbounds.verify import RegionComparison, check_inclusion, compare_regions, true_spectrum
 from ovalbounds.regions import (
@@ -339,10 +341,8 @@ class TestFrontSearch:
 
     @pytest.fixture
     def front_only(self, monkeypatch):
-        """The front search from two modes on, never handing a point's S
-        to the table."""
+        """The front search from two modes on."""
         monkeypatch.setattr(regions, "FRONT_ORDER", 2)
-        monkeypatch.setattr(regions, "_PAIR_COST", 0)
 
     @pytest.mark.parametrize("n", range(2, 61))
     def test_equals_the_stacked_margins(self, front_only, n):
@@ -395,13 +395,20 @@ class TestFrontSearch:
 
         check()
 
-    @pytest.mark.parametrize("pair_cost", [0, regions._PAIR_COST])
-    def test_every_mode_in_s(self, monkeypatch, pair_cost):
-        # 60 equal modes: every pair ties at every point
-        monkeypatch.setattr(regions, "_PAIR_COST", pair_cost)
+    def test_every_mode_in_s(self, monkeypatch):
+        # 60 equal modes: every pair ties at every point, so the front
+        # settles none and every point goes through the table once
         form, split, foci = pipeline(np.ones(60), np.full((60, 60), 0.1) + 0.4 * np.eye(60))
         u = build_regions(form, split, foci, Method.BRAUER)
-        assert_stacked_max(u, np.append(grid_points(100, 3), foci.lambda_plus[0]))
+        z = np.append(grid_points(100, 3), foci.lambda_plus[0])
+        assert_stacked_max(u, z)
+        real = regions._Kind.best_margin
+        handed = []
+        monkeypatch.setattr(
+            regions._Kind, "best_margin", lambda kind, z: handed.extend(z.tolist()) or real(kind, z)
+        )
+        u.best_margin(z)
+        assert handed == z.tolist()
 
     def test_pairs_evaluated_per_eigenvalue(self, monkeypatch):
         # an operation count: a change that falls back to the table of all
@@ -415,9 +422,10 @@ class TestFrontSearch:
             return real(kind, z, rows)
 
         monkeypatch.setattr(regions._DoubleOvals, "margins", counted)
-        for seed in range(5):
+        # verify_large's orders and one between them
+        for n, seed in itertools.product((50, 120, 200), range(5)):
             pairs.clear()
-            u, form = system_union(120, Method.BRAUER, seed=seed)
+            u, form = system_union(n, Method.BRAUER, seed=seed)
             spectrum = true_spectrum(form)
             check_inclusion(spectrum, u)
             per_eigenvalue = [pairs[v] for v in spectrum.values.tolist()]
@@ -1294,6 +1302,37 @@ class TestComponentAnalysis:
         b = component_analysis(u, 192)
         assert np.array_equal(a.labels, b.labels)
         assert a.components == b.components
+
+
+@functools.cache
+def rescaled_figures(n, seed, k):
+    """The loops at 256, divided by s = 2**k, and the components' (modes,
+    cell_count) of the figure unions of random_system(n, seed) with C -> sC
+    and K -> s^2 K, which scales the spectrum by s."""
+    sys_ = random_system(n, seed)
+    s = 2.0**k
+    C, K = SymMatrix(s * sys_.C.array), SymMatrix(s * s * sys_.K.array)
+    form = to_modal(DampedSystem(sys_.M, C, K))
+    out = []
+    for method in (Method.MODAL_OVAL_NORM, Method.BRAUER, Method.MODAL_DISK_ROWSUM):
+        u = build_regions(*pipeline_of(form), method)
+        loops = [[loop / s for loop in prim] for prim in boundary_polylines(u, 256)]
+        components = [(c.modes, c.cell_count) for c in component_analysis(u, 256).components]
+        out.append((loops, components))
+    return out
+
+
+@pytest.mark.parametrize("n, seed", [(4, 1), (7, 2), (10, 3)])
+@pytest.mark.parametrize("k", [-100, -60, -30, 20, 60])
+def test_figures_scale_with_the_system(n, seed, k):
+    # the padded boxes scale by s, so the grids, loops and cells do too
+    for (loops, components), (want_loops, want_components) in zip(
+        rescaled_figures(n, seed, k), rescaled_figures(n, seed, 0)
+    ):
+        assert components == want_components
+        assert len(loops) == len(want_loops)
+        for got, want in zip(loops, want_loops):
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 class TestBrauerRefinement:
