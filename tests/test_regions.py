@@ -395,12 +395,16 @@ class TestFrontSearch:
 
         check()
 
-    def test_every_mode_in_s(self, monkeypatch):
-        # 60 equal modes: every pair ties at every point, so the front
-        # settles none and every point goes through the table once
-        form, split, foci = pipeline(np.ones(60), np.full((60, 60), 0.1) + 0.4 * np.eye(60))
+    @pytest.mark.parametrize("k", [0, 16])
+    def test_every_mode_in_s(self, monkeypatch, k):
+        # 60 equal modes, their spectrum scaled by s = 2**k: every pair ties
+        # at every point, so the front settles none and every point goes
+        # through the table once
+        s = 2.0**k
+        D = s * (np.full((60, 60), 0.1) + 0.4 * np.eye(60))
+        form, split, foci = pipeline(np.full(60, s), D)
         u = build_regions(form, split, foci, Method.BRAUER)
-        z = np.append(grid_points(100, 3), foci.lambda_plus[0])
+        z = np.append(s * grid_points(100, 3), foci.lambda_plus[0])
         assert_stacked_max(u, z)
         real = regions._Kind.best_margin
         handed = []
