@@ -163,14 +163,16 @@ def emit_svg(
     for ui, u in enumerate(unions):
         color = PALETTE[ui % len(PALETTE)]
         style = f'fill="none" stroke="{color}" stroke-width="{_f6(stroke)}"'
-        for p, loops in zip(u.primitives, boundary_polylines(u, resolution)):
-            if p.is_degenerate:
-                for focus in p.foci:
+        degenerate = u.primitives.degenerate
+        dots = iter(u.primitives.foci()[degenerate].tolist())
+        # a degenerate primitive is drawn as dots at its foci and has no loops
+        for dot, loops in zip(degenerate.tolist(), boundary_polylines(u, resolution)):
+            if dot:
+                for focus in next(dots):
                     lines.append(
                         f'<circle cx="{_f6(focus.real)}" cy="{_f6(-focus.imag)}" '
                         f'r="{_f6(1.2 * stroke)}" fill="{color}"/>'
                     )
-                continue
             for loop in loops:
                 lines.append(f'<path d="{_svg_path(loop)}" {style}/>')
     if spectrum is not None:
@@ -273,13 +275,8 @@ def _unions(args, form, split, foci, report=None):
         if extension is not None:
             if union.method is Method.BRAUER:
                 raise InputError("--extension does not apply to BRAUER double ovals")
-            prims = tuple(
-                QuasiOval(p.focus_plus, p.focus_minus, extension, p.q)
-                if isinstance(p, QuasiOval)
-                else Disk(p.center, extension)
-                for p in union.primitives
-            )
-            union = RegionUnion(union.method, prims, union.mode_labels)
+            extended = union.primitives.extended(extension)
+            union = RegionUnion(union.method, extended, union.mode_labels)
         yield union
 
 

@@ -14,7 +14,8 @@ import scipy.linalg
 
 from .errors import InputError, NoConvergence, NonPositiveFrequency, NotPositiveDefinite
 
-#: Default relative tolerance for all residual contracts.
+#: The default tolerance of ``modal.is_modally_damped`` when called from the
+#: library; the ``analyze --rtol`` flag has its own default, 1e-8.
 RTOL = 1e-10
 
 #: Accepted relative asymmetry before construction is rejected.

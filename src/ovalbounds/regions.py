@@ -42,10 +42,15 @@ class Box:
         )
 
     def padded(self, frac: float) -> "Box":
-        """Each side grown by frac of its width at both ends.  A side of
-        width zero takes the other side's width, or else the largest |edge|,
-        or else 1, so the padding scales with the box."""
-        w, h = self.xmax - self.xmin, self.ymax - self.ymin
+        """Each side grown by frac of its width at both ends.  A side no
+        wider than ``_ROUNDING`` times the larger |edge| on its axis, which
+        only rounding separates, counts as zero; it takes the other side's
+        width, or else the largest |edge|, or else 1, so the padding scales
+        with the box."""
+        w, h = (
+            0.0 if hi - lo <= _ROUNDING * max(abs(lo), abs(hi)) else hi - lo
+            for lo, hi in ((self.xmin, self.xmax), (self.ymin, self.ymax))
+        )
         fill = max(w, h) or max(map(abs, (self.xmin, self.xmax, self.ymin, self.ymax))) or 1.0
         dx, dy = (w or fill) * frac, (h or fill) * frac
         return Box(self.xmin - dx, self.xmax + dx, self.ymin - dy, self.ymax + dy)
@@ -65,6 +70,11 @@ class _Primitive:
     def bounding_box(self) -> Box:
         return Box(*(float(edge[0]) for edge in _pack((self,)).boxes()))
 
+    @property
+    def is_degenerate(self) -> bool:
+        """Whether the primitive is a point set of zero measure: its foci."""
+        return bool(_pack((self,)).degenerate[0])
+
     def contains(self, lam: complex) -> bool:
         return bool(self.margin(lam) >= 0.0)
 
@@ -75,10 +85,6 @@ class Disk(_Primitive):
 
     center: complex
     radius: float
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.radius == 0.0
 
     @property
     def foci(self) -> tuple[complex, ...]:
@@ -99,10 +105,6 @@ class QuasiOval(_Primitive):
     q: float = 0.0
 
     @property
-    def is_degenerate(self) -> bool:
-        return self.r == 0.0 and self.q == 0.0
-
-    @property
     def foci(self) -> tuple[complex, ...]:
         return (self.focus_plus, self.focus_minus)
 
@@ -113,10 +115,6 @@ class DoubleOval(_Primitive):
 
     foci: tuple[complex, complex, complex, complex]
     bound: float
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.bound == 0.0
 
 
 RegionPrimitive = Disk | QuasiOval | DoubleOval
@@ -247,6 +245,12 @@ class _Kind(_View):
     delta, rows)`` evaluate pairs instead: primitive rows[k] at the points
     z[k], with the same operations in the same order, so each pair's value
     is its entry in the (primitives x points) table bit for bit.
+
+    Each kind also answers for its primitives what their values would:
+    ``degenerate``, the mask of the primitives that are their bare foci, a
+    point set of zero measure, and ``foci()``, a (primitives x foci) table
+    in the order of the values' ``foci``.  Disks and ovals give
+    ``extended(e)``, the same kind with every radius or r set to e.
     """
 
     def best_margin(self, z) -> tuple[np.ndarray, np.ndarray]:
@@ -274,6 +278,7 @@ class _Disks(_Kind):
 
     def __init__(self, center, radius):
         self.center, self.radius, self._len = center, radius, len(radius)
+        self.degenerate = radius == 0.0
 
     @classmethod
     def pack(cls, prims):
@@ -284,6 +289,12 @@ class _Disks(_Kind):
 
     def _item(self, i) -> Disk:
         return Disk(complex(self.center[i]), float(self.radius[i]))
+
+    def foci(self) -> np.ndarray:
+        return self.center[:, None]
+
+    def extended(self, e: float) -> "_Disks":
+        return _Disks(self.center, np.full(self._len, float(e)))
 
     def margins(self, z, rows=None):
         center, radius = _cols(rows, self.center, self.radius)
@@ -306,6 +317,7 @@ class _Ovals(_Kind):
 
     def __init__(self, plus, minus, r, q):
         self.plus, self.minus, self.r, self.q, self._len = plus, minus, r, q, len(r)
+        self.degenerate = (r == 0.0) & (q == 0.0)
 
     @classmethod
     def pack(cls, prims):
@@ -320,6 +332,13 @@ class _Ovals(_Kind):
         return QuasiOval(
             complex(self.plus[i]), complex(self.minus[i]), float(self.r[i]), float(self.q[i])
         )
+
+    def foci(self) -> np.ndarray:
+        return np.stack((self.plus, self.minus), axis=1)
+
+    def extended(self, e: float) -> "_Ovals":
+        """Every r set to e; each oval keeps its q."""
+        return _Ovals(self.plus, self.minus, np.full(self._len, float(e)), self.q)
 
     def margins(self, z, rows=None):
         plus, minus, r, q = _cols(rows, self.plus, self.minus, self.r, self.q)
@@ -363,6 +382,7 @@ class _DoubleOvals(_Kind):
     def __init__(self, plus, minus, a, b, bound, radii=None):
         self.plus, self.minus, self.a, self.b = plus, minus, a, b
         self.bound, self._len, self.radii = bound, len(bound), radii
+        self.degenerate = bound == 0.0
         if radii is not None:
             self._by_radius = np.argsort(-radii, kind="stable")
 
@@ -378,6 +398,10 @@ class _DoubleOvals(_Kind):
         foci = (self.plus[a], self.minus[a], self.plus[b], self.minus[b])
         return DoubleOval(tuple(map(complex, foci)), float(self.bound[i]))
 
+    def foci(self) -> np.ndarray:
+        a, b = self.a, self.b
+        return np.stack((self.plus[a], self.minus[a], self.plus[b], self.minus[b]), axis=1)
+
     def _distances(self, z, rows):
         """|z - f| to each primitive's foci plus[a], minus[a], plus[b],
         minus[b]; for a table, taken once per focus of the table."""
@@ -388,25 +412,12 @@ class _DoubleOvals(_Kind):
         return [np.abs(z - f) for f in foci]
 
     def margins(self, z, rows=None):
-        # A table multiplies each mode's two distances before gathering
-        # them.  Gathering all four as pairs do gives the same values, but
-        # it slowed the table's main caller, ``_certify`` in the sampled
-        # memberships of ``compare_regions`` (BRAUER against
-        # MODAL_OVAL_ROWSUM at n = 3 to 12, 200 000 samples), by 2 to 5 %.
-        if rows is None:
-            dplus = np.abs(z - self.plus[:, None])
-            dminus = np.abs(z - self.minus[:, None])
-            prod = np.take(dplus * dminus, self.a, axis=0)
-            far = np.take(dplus, self.b, axis=0), np.take(dminus, self.b, axis=0)
-        else:
-            x = self._distances(z, rows)
-            prod, far = x[0] * x[1], x[2:]
+        x = self._distances(z, rows)
+        prod = x[0] * x[1]
+        prod *= x[2]
+        prod *= x[3]
         (bound,) = _cols(rows, self.bound)
-        prod *= far[0]
-        prod *= far[1]
-        m = bound * np.abs(z) ** 2
-        m -= prod
-        return m
+        return np.subtract(bound * np.abs(z) ** 2, prod, out=prod)
 
     def boxes(self):
         mode = np.maximum(_moduli(self.plus), _moduli(self.minus))
@@ -903,7 +914,7 @@ def boundary_polylines(u: RegionUnion, resolution: int = 512) -> list[list[np.nd
     # a primitive's undecided leaves number up to about 2 * resolution, so a
     # batch's leaves cover at most about BLOCK_CELLS * CHUNK_ELEMENTS cells
     batch = max(1, CHUNK_ELEMENTS // (2 * BLOCK_CELLS * resolution))
-    live = np.flatnonzero([not p.is_degenerate for p in kind])
+    live = np.flatnonzero(~kind.degenerate)
     boxes = kind.boxes()
     for lo in range(0, len(live), batch):
         rows = live[lo : lo + batch]
@@ -925,9 +936,9 @@ def _grid_lines(lo, hi, w: int) -> np.ndarray:
 
 def _trace(kind: _Kind, rows, boxes, resolution: int) -> list[list[np.ndarray]]:
     """The loops of the kind's primitives ``rows``, a list per row, each
-    traced on its bounding box padded as ``Box.padded(0.05)`` pads it: by
-    its own widths, which are positive for a primitive that is not
-    degenerate."""
+    traced on its bounding box padded by its own widths, which are positive
+    for a primitive that is not degenerate: as ``Box.padded(0.05)`` pads a
+    box whose sides are wider than rounding."""
     w = resolution + 1
     xmin, xmax, ymin, ymax = (edge[rows] for edge in boxes)
     dx = (xmax - xmin) * 0.05
@@ -1097,27 +1108,28 @@ class ComponentAnalysis:
     resolution: int
 
     def locate(self, lam: complex) -> int | None:
-        """Component index whose cells are nearest to lam (3-cell search);
-        None when lam is not finite or no component is that near."""
+        """Component index whose cells are nearest to lam: over the cells
+        of components within 3 cells of lam's cell (the 7 x 7 window about
+        it), the least (Chebyshev ring, squared distance, label).  None when
+        lam is not finite or no component is that near."""
         if not np.isfinite(lam):
             return None
         ny, nx = self.labels.shape
         dx = (self.box.xmax - self.box.xmin) / nx
         dy = (self.box.ymax - self.box.ymin) / ny
-        ix = int(np.floor((lam.real - self.box.xmin) / dx))
-        iy = int(np.floor((lam.imag - self.box.ymin) / dy))
-        for radius in range(4):
-            best = None
-            for jy in range(iy - radius, iy + radius + 1):
-                for jx in range(ix - radius, ix + radius + 1):
-                    if 0 <= jy < ny and 0 <= jx < nx and self.labels[jy, jx] > 0:
-                        d2 = (jy - iy) ** 2 + (jx - ix) ** 2
-                        cand = (d2, int(self.labels[jy, jx]) - 1)
-                        if best is None or cand < best:
-                            best = cand
-            if best is not None:
-                return best[1]
-        return None
+        # clipped where the window misses the grid, so that the index is small
+        ix = int(np.clip(np.floor((lam.real - self.box.xmin) / dx), -4, nx + 3))
+        iy = int(np.clip(np.floor((lam.imag - self.box.ymin) / dy), -4, ny + 3))
+        off = np.arange(-3, 4)
+        jy, jx = iy + off, ix + off
+        on_y, on_x = (jy >= 0) & (jy < ny), (jx >= 0) & (jx < nx)
+        label = np.zeros((len(off), len(off)), dtype=self.labels.dtype)
+        label[np.ix_(on_y, on_x)] = self.labels[np.ix_(jy[on_y], jx[on_x])]
+        ring = np.maximum.outer(abs(off), abs(off))
+        d2 = np.add.outer(off**2, off**2)
+        # unlabelled cells last, then by ring, squared distance and label
+        best = np.lexsort([key.ravel() for key in (label, d2, ring, label == 0)])[0]
+        return int(label.flat[best]) - 1 if label.flat[best] else None
 
 
 def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalysis:
@@ -1158,14 +1170,13 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     blocks = padded.reshape(nb, B, nb, B)
     top = _top_size(resolution) // B
     whole = np.zeros((top, top), dtype=bool)
-    kind, held = u.primitives, []
-    degenerate = np.array([p.is_degenerate for p in kind])
-    for i in np.flatnonzero(degenerate).tolist():
-        foci = kind[i].foci
-        jx = np.array([min(max(int((f.real - box.xmin) / dx), 0), nx - 1) for f in foci])
-        jy = np.array([min(max(int((f.imag - box.ymin) / dy), 0), ny - 1) for f in foci])
-        padded[jy, jx] = True
-        held.append((np.full(len(foci), i), jy * side + jx))
+    kind, degenerate = u.primitives, u.primitives.degenerate
+    foci = kind.foci()[degenerate]
+    # each degenerate focus's cell, clipped to the grid in float, then truncated
+    jx = np.clip((foci.real - box.xmin) / dx, 0, nx - 1).astype(np.intp)
+    jy = np.clip((foci.imag - box.ymin) / dy, 0, ny - 1).astype(np.intp)
+    padded[jy, jx] = True
+    held = [(np.repeat(np.flatnonzero(degenerate), foci.shape[1]), (jy * side + jx).ravel())]
     rows = np.flatnonzero(~degenerate)
     xs, ys = cx[None, :], cy[None, :]
     for size, level, verdict in _descend(kind, rows, xs, ys, resolution, 0):

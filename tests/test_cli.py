@@ -220,6 +220,23 @@ class TestPlotCommand:
         height = float(re.search(r'<svg [^>]* height="([^"]*)"', svg.read_text()).group(1))
         assert np.isfinite(height) and height < 1e4
 
+    @pytest.mark.parametrize("k", [-100, 0, 100])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_figure_box_with_a_side_only_rounding_separates(self, tmp_path, seed, k):
+        # the union is the two bare foci, and the computed eigenvalues' real
+        # parts differ from theirs by a few ulps; that width counts as zero,
+        # at every power-of-two scale s of the spectrum (C -> sC, K -> s^2 K)
+        path = tmp_path / "sys.json"
+        assert cli.main(["gen", "--n", "1", "--seed", str(seed), "--output", str(path)]) == 0
+        sys_, s = load_system(path), 2.0**k
+        C, K = SymMatrix(s * sys_.C.array), SymMatrix(s * s * sys_.K.array)
+        save_system(DampedSystem(sys_.M, C, K), path)
+        svg = tmp_path / "x.svg"
+        argv = ["plot", "--input", str(path), "--output", str(svg), "--method", "MODAL_DISK_ROWSUM"]
+        assert cli.main(argv) == 0
+        height = re.search(r'<svg [^>]* height="([^"]*)"', svg.read_text()).group(1)
+        assert height == "4320"
+
     def test_svg_path_formats_each_coordinate_as_f6(self):
         # one %-format over the loop against the per-vertex f-strings it replaced
         rng = np.random.default_rng(0)

@@ -138,6 +138,45 @@ KIND_UNIONS = [
 ]
 
 
+def degenerate_rule(p):
+    """A primitive is its bare foci, a point set of zero measure, where its
+    radius, its r and q, or its bound is zero."""
+    if isinstance(p, Disk):
+        return p.radius == 0.0
+    if isinstance(p, QuasiOval):
+        return p.r == 0.0 and p.q == 0.0
+    return p.bound == 0.0
+
+
+def extended_value(p, e):
+    """The primitive with radius or r set to e, rebuilt as a value."""
+    if isinstance(p, Disk):
+        return Disk(p.center, e)
+    return QuasiOval(p.focus_plus, p.focus_minus, e, p.q)
+
+
+def assert_kind_answers(prims):
+    """The packed kind's degeneracy mask, focus table and extensions equal
+    what the values and their per-value rebuilds give, bit for bit."""
+    kind = RegionUnion(Method.MODAL_OVAL_NORM, prims, tuple((0,) for _ in prims)).primitives
+    rule = [degenerate_rule(p) for p in prims]
+    assert kind.degenerate.tolist() == [p.is_degenerate for p in prims] == rule
+    foci = kind.foci()
+    assert foci.shape == (len(prims), len(prims[0].foci))
+    assert foci.tobytes() == np.array([p.foci for p in prims], dtype=complex).tobytes()
+    if isinstance(prims[0], DoubleOval):
+        assert not hasattr(kind, "extended")
+        return
+    for e in (0.0, 0.3, 1e154):
+        got = kind.extended(e)
+        want = regions._pack(extended_value(p, e) for p in prims)
+        assert type(got) is type(want) and tuple(got) == tuple(want)
+        assert vars(got).keys() == vars(want).keys()
+        for name, array in vars(want).items():
+            if isinstance(array, np.ndarray):
+                assert getattr(got, name).tobytes() == array.tobytes(), name
+
+
 def grid_points(count, seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(-3, 3, count) + 1j * rng.uniform(-3, 3, count)
@@ -305,6 +344,56 @@ class TestPackedUnion:
             for a, b in zip(u.best_margin(z), expect[method]):
                 assert a.tobytes() == b.tobytes()
 
+    def test_consumers_make_no_primitive_values(self, monkeypatch, tmp_path, capsys):
+        # the commands and library consumers other than the regions report
+        # read the packed kinds only: the same bytes with the three
+        # constructors refused in both namespaces that bind them
+        def refuse(*args):
+            raise AssertionError("primitive value built")
+
+        plots = [
+            ["--method", "MODAL_OVAL_NORM", "--method", "BRAUER", "--method", "MODAL_DISK_ROWSUM"],
+            ["--method", "MODAL_OVAL_NORM", "--method", "MODAL_DISK_NORM"],
+            ["--method", "MODAL_OVAL_NORM", "--method", "MODAL_DISK_NORM", "--extension", "0.3"],
+        ]
+
+        def outputs():
+            out = []
+            for n, seed in ((1, 1), (5, 2)):  # bare foci at n = 1
+                path, svg = tmp_path / "sys.json", tmp_path / "x.svg"
+                argv = ["gen", "--n", str(n), "--seed", str(seed), "--output", str(path)]
+                assert cli.main(argv) == 0
+                for flags in plots:
+                    argv = ["plot", "--input", str(path), "--output", str(svg), "--resolution", "64"]
+                    assert cli.main(argv + flags) == 0
+                    out.append(svg.read_bytes())
+                for command in ("verify", "analyze", "overdamped"):
+                    assert cli.main([command, "--input", str(path), "--json"]) == 0
+                out.append(capsys.readouterr().out)
+                form = to_modal(random_system(n, seed))
+                spectrum = true_spectrum(form)
+                unions = {m: build_regions(*pipeline_of(form), m) for m in Method}
+                for u in unions.values():
+                    out.append([[a.tobytes() for a in loops] for loops in boundary_polylines(u, 64)])
+                    ca = component_analysis(u, 128)
+                    out.append((ca.components, ca.labels.tobytes(), ca.box))
+                    audit = check_inclusion(spectrum, u)
+                    out.append((audit.assigned, audit.margins.tobytes(), audit.worst))
+                pair = unions[Method.BRAUER], unions[Method.MODAL_OVAL_ROWSUM]
+                out.append(compare_regions(*pair, samples=5000))
+            return out
+
+        expect = outputs()
+        for cls in ("Disk", "QuasiOval", "DoubleOval"):
+            monkeypatch.setattr(regions, cls, refuse)
+            monkeypatch.setattr(cli, cls, refuse, raising=False)
+        assert outputs() == expect
+
+    def test_kinds_answer_for_their_values(self):
+        for prims in KIND_UNIONS:
+            assert_kind_answers(prims)
+            assert_kind_answers(prims[::-1])
+
     def test_unknown_primitive_refused(self):
         with pytest.raises(InputError):
             RegionUnion(Method.MODAL_OVAL_NORM, (object(),), ((0,),))
@@ -329,6 +418,7 @@ class TestPackedUnion:
         def check(prims, zs):
             u = RegionUnion(Method.MODAL_OVAL_NORM, tuple(prims), tuple((0,) for _ in prims))
             assert tuple(u.primitives) == tuple(prims)
+            assert_kind_answers(tuple(prims))
             # at their own foci, repeated and degenerate primitives tie exactly
             assert_stacked_max(u, np.array(zs + [p.foci[0] for p in prims], dtype=complex))
 
@@ -1160,6 +1250,30 @@ class TestMembership:
             assert compare_regions(u1, u2) == direct_comparison(u1, u2, 200_000)
 
 
+def ring_search(ca, lam):
+    """``ComponentAnalysis.locate`` as a search over Chebyshev rings of
+    radius 0 to 3 about lam's cell: the first ring holding a component's
+    cell, and in it the least (squared distance, label)."""
+    if not np.isfinite(lam):
+        return None
+    ny, nx = ca.labels.shape
+    dx = (ca.box.xmax - ca.box.xmin) / nx
+    dy = (ca.box.ymax - ca.box.ymin) / ny
+    ix = int(np.floor((lam.real - ca.box.xmin) / dx))
+    iy = int(np.floor((lam.imag - ca.box.ymin) / dy))
+    for radius in range(4):
+        best = None
+        for jy in range(iy - radius, iy + radius + 1):
+            for jx in range(ix - radius, ix + radius + 1):
+                if 0 <= jy < ny and 0 <= jx < nx and ca.labels[jy, jx] > 0:
+                    cand = ((jy - iy) ** 2 + (jx - ix) ** 2, int(ca.labels[jy, jx]) - 1)
+                    if best is None or cand < best:
+                        best = cand
+        if best is not None:
+            return best[1]
+    return None
+
+
 class TestComponentAnalysis:
     @pytest.mark.parametrize("resolution", [32, 33, 64, 512])
     @pytest.mark.parametrize("n,seed", SYSTEMS)
@@ -1291,6 +1405,39 @@ class TestComponentAnalysis:
         for lam in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(np.inf, np.nan)):
             assert ca.locate(lam) is None
 
+    def test_locate_equals_the_ring_search(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        box = regions.Box(-1.5, 2.5, -0.75, 1.25)
+
+        @st.composite
+        def cases(draw):
+            ny, nx = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            density = draw(st.sampled_from([0.0, 0.02, 0.2, 0.8]))
+            labels = rng.integers(1, 5, (ny, nx)) * (rng.random((ny, nx)) < density)
+            ca = regions.ComponentAnalysis((), labels, box, max(ny, nx))
+            dx, dy = (box.xmax - box.xmin) / nx, (box.ymax - box.ymin) / ny
+            # on a cell edge or centre, an ulp beside it, far off, or not finite
+            i, j = draw(st.integers(-8, nx + 8)), draw(st.integers(-8, ny + 8))
+            x, y = box.xmin + i * dx, box.ymin + j * dy
+            near = st.sampled_from([-np.inf, np.inf])
+            x = draw(st.sampled_from([x, x + 0.5 * dx, np.nextafter(x, draw(near))]))
+            y = draw(st.sampled_from([y, y + 0.5 * dy, np.nextafter(y, draw(near))]))
+            far = st.sampled_from([1e300, -1e300, 1e12, np.inf, -np.inf, np.nan])
+            if draw(st.booleans()):
+                x = draw(far) if draw(st.booleans()) else x
+                y = draw(far) if draw(st.booleans()) else y
+            return ca, complex(x, y)
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            ca, lam = case
+            assert ca.locate(lam) == ring_search(ca, lam)
+
+        check()
+
     def test_huge_extension_without_overflow_warnings(self):
         # margins overflow to -inf near |z| = 1e154, outside every oval
         form, split, foci = pipeline_of(to_modal(random_system(3, 1)))
@@ -1326,7 +1473,7 @@ def rescaled_figures(n, seed, k):
     return out
 
 
-@pytest.mark.parametrize("n, seed", [(4, 1), (7, 2), (10, 3)])
+@pytest.mark.parametrize("n, seed", [(1, 1), (4, 1), (7, 2), (10, 3)])
 @pytest.mark.parametrize("k", [-100, -60, -30, 20, 60])
 def test_figures_scale_with_the_system(n, seed, k):
     # the padded boxes scale by s, so the grids, loops and cells do too
