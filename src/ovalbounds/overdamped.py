@@ -99,16 +99,25 @@ _DUFFIN_STEPS = 200
 
 
 def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float] | None]:
-    """f = lambda_max(Q(mu)), its subgradient g = x'(2 mu M + C)x and the
-    Duffin values of its unit eigenvector x, None when c <= 2 sqrt(mk) with
-    m = x'Mx, c = x'Cx, k = x'Kx; MCK stacks M, C and K as (3, n, n).  A
-    Q(mu) that overflows (dsyevr then finds no eigenvalue or an infinite
-    one), a quadratic form that is not finite and positive where it must
-    be, or Duffin values that overflow raise NoConvergence."""
+    """f = lambda_max(Q(mu)) / 4**e, its subgradient g = x'(2 mu M + C)x /
+    2**e and the Duffin values of its unit eigenvector x, None when c <= 2
+    sqrt(mk) with m = x'Mx, c = x'Cx, k = x'Kx; MCK stacks M, C and K as
+    (3, n, n).
+
+    With |mu| = 2**e t, e the larger of 0 and mu's binary exponent, the
+    matrix is Q(mu) / 4**e = t^2 M + (t / 2**e) C + K / 4**e.  The powers of
+    two keep it finite where Q(mu) would overflow, and elsewhere scale
+    Q(mu)'s terms exactly, so x and the signs of f and g, which are all the
+    search reads, are those of Q(mu).  A matrix that overflows all the same
+    (dsyevr then finds no eigenvalue or an infinite one), a quadratic form
+    that is not finite and positive where it must be, or Duffin values that
+    overflow raise NoConvergence."""
     M, C, K = MCK
     n = len(M)
+    e = max(0, math.frexp(mu)[1])
+    t = math.ldexp(mu, -e)
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = mu * mu * M + mu * C + K
+        Q = t * t * M + math.ldexp(t, -e) * C + math.ldexp(1.0, -2 * e) * K
     w, v, found, _, info = scipy.linalg.lapack.dsyevr(Q, range="I", il=n, iu=n)
     if info:
         raise NoConvergence(f"dsyevr failed with info {info} at mu = {mu}")
@@ -121,7 +130,7 @@ def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float
     roots = real_roots(m, c, k)
     if roots is not None and not math.isfinite(roots[0]):
         raise NoConvergence(f"the Duffin values overflow at mu = {mu}")
-    return float(w[0]), 2.0 * mu * m + c, roots
+    return float(w[0]), 2.0 * t * m + math.ldexp(c, -e), roots
 
 
 def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> DefinitenessInterval:

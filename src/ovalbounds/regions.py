@@ -572,38 +572,6 @@ def _block_disks(x0, x1, y0, y1):
     return cx + 1j * cy, np.hypot(hx, hy)
 
 
-def _point_blocks(pts: np.ndarray):
-    """Bin the finite 1-d complex pts into g x g equal blocks over their box,
-    g = floor(cbrt(len pts)), in chunks of CHUNK_ELEMENTS points.  Returns
-    each point's block (row-major by y), the occupied blocks, their centres
-    and the distance from each centre to its farthest point, whose few ulps
-    of rounding the ``variation`` bounds' allowance covers."""
-    g = int(np.cbrt(len(pts)))
-    axes = []
-    for v in (pts.real, pts.imag):
-        vmin, vmax = v.min(), v.max()
-        width = (vmax - vmin) / g
-        if np.finfo(float).tiny <= width < np.inf:
-            axes.append((vmin, 1.0 / width, vmin + (np.arange(g) + 0.5) * width))
-        else:  # one value, or a span too narrow or too wide for floats: one bin
-            mid = 0.5 * vmin + 0.5 * vmax
-            axes.append((mid, 0.0, np.full(g, mid)))
-    (x0, xscale, cx), (y0, yscale, cy) = axes
-    blk = np.empty(len(pts), dtype=np.intp)
-    far = np.full(g * g, -1.0)  # squared distance to the farthest point
-    for lo in range(0, len(pts), CHUNK_ELEMENTS):
-        x, y = pts[lo : lo + CHUNK_ELEMENTS].real, pts[lo : lo + CHUNK_ELEMENTS].imag
-        ix = np.minimum(((x - x0) * xscale).astype(np.intp), g - 1)
-        iy = np.minimum(((y - y0) * yscale).astype(np.intp), g - 1)
-        b = blk[lo : lo + CHUNK_ELEMENTS]
-        np.multiply(iy, g, out=b)
-        b += ix
-        np.maximum.at(far, b, np.square(x - cx[ix]) + np.square(y - cy[iy]))
-    used = np.flatnonzero(far >= 0.0)
-    centre = (cx[None, :] + 1j * cy[:, None]).ravel()
-    return blk, used, centre[used], np.sqrt(far[used])
-
-
 def _certify(kind: _Kind, z0: np.ndarray, delta: np.ndarray, rows=None) -> np.ndarray:
     """What the kind's ``variation`` bound settles about each primitive on
     each disk |z - z0| <= delta, as int8 (primitives x disks), or with
@@ -681,39 +649,6 @@ def _row_offsets(table, k):
     return k * table.shape[1] if len(table) > 1 else np.zeros_like(k)
 
 
-def _memberships(unions, z) -> list[np.ndarray]:
-    """``u.best_margin(z)[0] >= 0`` for each union u, settled block by block
-    where it can be.
-
-    The finite points are binned once, into g x g equal blocks over their
-    box, g the cube root of their count, and each block is taken as the disk
-    about its centre through its farthest point.  For each union, a block in
-    which ``_certify`` puts some primitive inside is inside, one where it
-    puts every primitive outside is outside: the largest of its pairs'
-    verdicts is 1 or -1.  The other blocks' points and the non-finite points
-    go through the union's ``best_margin``.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    finite = np.isfinite(flat)
-    binned = finite.any()
-    if binned:
-        with _quiet():
-            blk, used, centre, delta = _point_blocks(flat if finite.all() else flat[finite])
-    out = []
-    for u in unions:
-        verdict = np.zeros(flat.size, dtype=np.int8)
-        if binned:
-            settled = np.zeros(used[-1] + 1, dtype=np.int8)
-            settled[used] = _certify(u.primitives, centre, delta).max(axis=0)
-            verdict[finite] = settled[blk]
-        member = verdict == 1
-        direct = np.flatnonzero(verdict == 0)
-        member[direct] = u.best_margin(flat[direct])[0] >= 0.0
-        out.append(member.reshape(z.shape))
-    return out
-
-
 class _ModeLabels(_View):
     """Mode labels as two index arrays: (lo,) where lo == hi, else (lo, hi)."""
 
@@ -776,9 +711,8 @@ class RegionUnion:
         return self.primitives.best_margin(z)
 
     def membership_many(self, z: np.ndarray) -> np.ndarray:
-        """``best_margin(z)[0] >= 0``, settled block by block where it can
-        be (see ``_memberships``)."""
-        return _memberships((self,), z)[0]
+        """Whether each point of z is in the union: ``best_margin(z)[0] >= 0``."""
+        return self.best_margin(z)[0] >= 0.0
 
 
 def _disk_pairs(method: Method, plus, minus, r_plus, r_minus) -> RegionUnion:
@@ -1132,6 +1066,53 @@ class ComponentAnalysis:
         return int(label.flat[best]) - 1 if label.flat[best] else None
 
 
+def _raster(kind: _Kind, rows, box: Box, resolution: int):
+    """The union of the kind's primitives ``rows`` at the cell centres of a
+    resolution x resolution grid over box: a cell is in it where some
+    primitive's margin at its centre is nonnegative.
+
+    The cells come from ``_descend`` over the grid padded to whole leaves
+    of BLOCK_CELLS x BLOCK_CELLS cells: blocks it certifies inside a
+    primitive are filled whole, those it certifies outside stay empty, and
+    only the undecided leaves' cell centres are evaluated.  Returns the
+    (side, side) mask of the padded grid, whose cells past the grid are to
+    be cropped; for each level, the primitives of the blocks it fills and
+    each block's first flat cell index; and the leaves' primitives, leaf
+    rows and leaf columns, with their cells inside the primitive as
+    (leaves, BLOCK_CELLS, BLOCK_CELLS).  A resolution below 32 raises
+    InputError.
+    """
+    if resolution < 32:
+        raise InputError("resolution must be at least 32")
+    B, nb = BLOCK_CELLS, -(-resolution // BLOCK_CELLS)
+    side = nb * B
+    cx = box.xmin + (np.arange(side) + 0.5) * ((box.xmax - box.xmin) / resolution)
+    cy = box.ymin + (np.arange(side) + 0.5) * ((box.ymax - box.ymin) / resolution)
+    # the mask viewed as (leaf row, cell row, leaf column, cell column), and
+    # the leaves some primitive fills whole
+    mask = np.zeros((side, side), dtype=bool)
+    blocks = mask.reshape(nb, B, nb, B)
+    top = _top_size(resolution) // B
+    whole = np.zeros((top, top), dtype=bool)
+    filled = []
+    xs, ys = cx[None, :], cy[None, :]
+    for size, level, verdict in _descend(kind, rows, xs, ys, resolution, 0):
+        k, j0, i0 = level[:, verdict == 1]
+        filled.append((rows[k], j0 * side + i0))
+        f = size // B
+        whole.reshape(top // f, f, top // f, f)[j0 // size, :, i0 // size, :] = True
+    leaf, j0, i0 = level[:, verdict == 0]
+    inside = np.empty((len(leaf), B, B), dtype=bool)
+    with _quiet():
+        for at, z, prim in _leaf_points(rows, xs, ys, (leaf, j0, i0), 0):
+            inside[at] = kind.margins(z, prim) >= 0.0
+    by, bx = j0 // B, i0 // B
+    # unbuffered, as a leaf may be undecided for several primitives
+    np.logical_or.at(blocks, (by, slice(None), bx, slice(None)), inside)
+    blocks |= whole[:nb, None, :nb, None]
+    return mask, filled, (rows[leaf], by, bx), inside
+
+
 def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalysis:
     """Flood-fill the rasterized union (4-connected) into components.
 
@@ -1142,59 +1123,29 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     full-measure primitive that covers no cell raises ResolutionTooCoarse.
 
     A cell is in a primitive's mask where the margin at its centre is
-    nonnegative.  The masks come from ``_descend`` over the grid padded to
-    whole leaves of BLOCK_CELLS x BLOCK_CELLS cells: blocks it certifies
-    inside a primitive are filled whole, those it certifies outside stay
-    empty, and only the undecided leaves' cell centres are evaluated.
+    nonnegative: the other primitives go through ``_raster`` over the
+    union's box padded by 2 %.
     """
     import scipy.ndimage  # loaded only where components are labelled
 
-    if resolution < 32:
-        raise InputError("resolution must be at least 32")
     box = u.bounding_box().padded(0.02)
-    nx = ny = resolution
-    dx = (box.xmax - box.xmin) / nx
-    dy = (box.ymax - box.ymin) / ny
-    # cell centres over whole leaves; the cells past the grid are cropped
-    B, nb = BLOCK_CELLS, -(-resolution // BLOCK_CELLS)
-    side = nb * B
-    cx = box.xmin + (np.arange(side) + 0.5) * dx
-    cy = box.ymin + (np.arange(side) + 0.5) * dy
-
-    # The union over the grid padded to whole leaves, viewed as (leaf row,
-    # cell row, leaf column, cell column); the leaves some primitive fills
-    # whole; one cell of each degenerate focus and filled block with its
-    # primitive's index; and the undecided leaves' primitives, leaf rows and
-    # columns, and their cells inside the primitive.
-    padded = np.zeros((side, side), dtype=bool)
-    blocks = padded.reshape(nb, B, nb, B)
-    top = _top_size(resolution) // B
-    whole = np.zeros((top, top), dtype=bool)
     kind, degenerate = u.primitives, u.primitives.degenerate
+    padded, held, (owners, by, bx), inside = _raster(
+        kind, np.flatnonzero(~degenerate), box, resolution
+    )
+    nx = ny = resolution
+    dx, dy = (box.xmax - box.xmin) / nx, (box.ymax - box.ymin) / ny
+    side = len(padded)
+    # one cell of each degenerate focus with its primitive's index, clipped
+    # to the grid in float, then truncated
     foci = kind.foci()[degenerate]
-    # each degenerate focus's cell, clipped to the grid in float, then truncated
     jx = np.clip((foci.real - box.xmin) / dx, 0, nx - 1).astype(np.intp)
     jy = np.clip((foci.imag - box.ymin) / dy, 0, ny - 1).astype(np.intp)
     padded[jy, jx] = True
-    held = [(np.repeat(np.flatnonzero(degenerate), foci.shape[1]), (jy * side + jx).ravel())]
-    rows = np.flatnonzero(~degenerate)
-    xs, ys = cx[None, :], cy[None, :]
-    for size, level, verdict in _descend(kind, rows, xs, ys, resolution, 0):
-        k, j0, i0 = level[:, verdict == 1]
-        held.append((rows[k], j0 * side + i0))
-        f = size // B
-        whole.reshape(top // f, f, top // f, f)[j0 // size, :, i0 // size, :] = True
-    leaves = tuple(level[:, verdict == 0])
-    inside = np.empty((len(leaves[0]), B, B), dtype=bool)
-    with _quiet():
-        for at, z, prim in _leaf_points(rows, xs, ys, leaves, 0):
-            inside[at] = kind.margins(z, prim) >= 0.0
-    owners, by, bx = rows[leaves[0]], leaves[1] // B, leaves[2] // B
-    # unbuffered, as a leaf may be undecided for several primitives
-    np.logical_or.at(blocks, (by, slice(None), bx, slice(None)), inside)
-    # cells past the grid lie outside the padded box, so no primitive holds them
-    blocks |= whole[:nb, None, :nb, None]
+    held.append((np.repeat(np.flatnonzero(degenerate), foci.shape[1]), (jy * side + jx).ravel()))
 
+    # labelled over the whole leaves, whose cells past the grid lie outside
+    # the padded box, so that no primitive holds them
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     labels, count = scipy.ndimage.label(padded, structure=structure, output=int)
 
@@ -1220,7 +1171,8 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     hits = np.zeros((len(kind), count + 1), dtype=bool)
     positions, cells_held = (np.concatenate(v) for v in zip(*held))
     hits[positions, labels.ravel()[cells_held]] = True
-    by_leaf = labels.reshape(nb, B, nb, B)
+    B = BLOCK_CELLS
+    by_leaf = labels.reshape(side // B, B, side // B, B)
     step = max(1, CHUNK_ELEMENTS // (B * B))
     for lo in range(0, len(by), step):
         cut = slice(lo, lo + step)

@@ -115,10 +115,11 @@ def test_criterion_2_brauer_refinement():
         foci = mode_foci(form, split)
         brauer = build_regions(form, split, foci, Method.BRAUER)
         cassini = build_regions(form, split, foci, Method.MODAL_OVAL_ROWSUM)
-        cmp_ = compare_regions(brauer, cassini, samples=200_000, seed=i)
+        cmp_ = compare_regions(brauer, cassini, 512)
+        assert cmp_.samples >= 200_000
         total_violations += cmp_.subset_violations
     assert total_violations == 0
-    print("ACCEPTANCE 2: PASS - 100 systems x 200k points, 0 double-oval escapes")
+    print("ACCEPTANCE 2: PASS - 100 systems x 512^2 cells, 0 double-oval escapes")
 
 
 def test_criterion_3_tightness_vs_disks():
@@ -136,7 +137,8 @@ def test_criterion_3_tightness_vs_disks():
         assert dnorm <= 0.2 * np.min(form.omega) + 1e-12
         ovals = build_regions(form, split, foci, Method.UNDAMPED_OVAL_NORM)
         disks = build_regions(form, split, foci, Method.UNDAMPED_DISK_NORM)
-        cmp_ = compare_regions(ovals, disks, samples=200_000, seed=i)
+        cmp_ = compare_regions(ovals, disks, 512)
+        assert cmp_.samples >= 200_000
         if cmp_.area_first <= cmp_.area_second:
             wins += 1
         if i < 40:

@@ -632,23 +632,30 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err == "error: no convergence in the test\n"
 
-    def test_overflowing_interval_search_exits_4(self, tmp_path, capsys):
-        # strongly overdamped, but the pencil overflows at the outer diagonal
-        # Duffin value: no verdict, where an overflowed probe once gave
-        # "empty" and exit 0
-        path = tmp_path / "huge.json"
-        path.write_text(
+    def test_huge_damping_keeps_a_verdict(self, tmp_path, capsys):
+        # strongly overdamped, and the pencil Q(mu) overflows at the outer
+        # diagonal Duffin value: the search probes Q(mu) / 4**e in its place,
+        # where these once exited 4 with "Q(mu) overflows"
+        huge = tmp_path / "huge.json"
+        huge.write_text(
             '{"n": 2, "M": [2, 0.5, 0.5, 1], "C": [1e160, 0, 0, 1e160], "K": [1, 0.2, 0.2, 3]}'
         )
-        out = tmp_path / "gen.json"
-        argv = ["gen", "--n", "3", "--gamma", "1e170", "--overdamped", "--output", str(out)]
-        assert cli.main(["overdamped", "--input", str(path)]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: Q(mu) overflows at mu = -5e+159\n"
-        assert cli.main(argv) == 4
-        assert capsys.readouterr().err.startswith("error: Q(mu) overflows at mu = ")
-        assert not out.exists()
+        for path, lo, hi in (
+            (huge, -1e160 / 2.2071067811865475, -3.0198039027185569 / 1e160),
+            (write_scalar(tmp_path, 1.0, 1e170, 1.0), -1e170, -1e-170),
+        ):
+            assert cli.main(["overdamped", "--input", str(path), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["exact_interval_lo"] == pytest.approx(lo, rel=1e-12)
+            assert report["exact_interval_hi"] == pytest.approx(hi, rel=1e-12)
+        for gamma in ("1e170", "1e300"):
+            out = tmp_path / f"gen_{gamma}.json"
+            argv = ["gen", "--n", "3", "--gamma", gamma, "--overdamped", "--output", str(out)]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().err == ""
+            assert cli.main(["overdamped", "--input", str(out), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["exact_interval_lo"] < report["exact_interval_hi"] < 0.0
 
 
 class TestErrorPaths:

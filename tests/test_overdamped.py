@@ -262,21 +262,30 @@ class TestIntervalSearch:
         assert iv.lo == pytest.approx(-2.0, rel=1e-14) and iv.hi == pytest.approx(-1.0, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "M,C,K,message",
+        "M,c,K",
         [
-            # strongly overdamped, with roots near -1e160 and -1e-160: the
-            # Duffin values are finite, but Q overflows at the outer one
-            ([[2.0, 0.5], [0.5, 1.0]], 1e160 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]], "Q"),
-            ([[2.0, 0.5], [0.5, 1.0]], 1e200 * np.eye(2), [[1.0, 0.2], [0.2, 3.0]], "Q"),
-            ([[1.0]], [[1e155]], [[1.0]], "Q"),
-            ([[1.0]], [[1e200]], [[1.0]], "Q"),
-            # the root -1e310 itself overflows
-            ([[1e-10]], [[1e300]], [[1.0]], "diagonal Duffin values"),
+            ([[2.0, 0.5], [0.5, 1.0]], 1e160, [[1.0, 0.2], [0.2, 3.0]]),
+            ([[2.0, 0.5], [0.5, 1.0]], 1e200, [[1.0, 0.2], [0.2, 3.0]]),
+            ([[1.0]], 1e155, [[1.0]]),
+            ([[1.0]], 1e200, [[1.0]]),
+            ([[1.0]], 1e300, [[1.0]]),
         ],
     )
-    def test_overflow_is_no_verdict(self, M, C, K, message):
-        sys_ = DampedSystem(SymMatrix(M), SymMatrix(C), SymMatrix(K))
-        with pytest.raises(NoConvergence, match=f"{message}.* overflow"):
+    def test_huge_damping_keeps_a_verdict(self, M, c, K):
+        # strongly overdamped, with C = c I: Q(mu) overflows at the outer
+        # Duffin value, Q(mu) / 4**e does not.  Up to relative O(1 / c^2),
+        # the interval is (-c / lambda_max(M), -lambda_max(K) / c).
+        M, K = np.array(M), np.array(K)
+        sys_ = DampedSystem(SymMatrix(M), SymMatrix(c * np.eye(len(M))), SymMatrix(K))
+        iv = exact_definiteness_interval(sys_)
+        assert not iv.empty
+        assert iv.lo == pytest.approx(-c / np.linalg.eigvalsh(M)[-1], rel=1e-12)
+        assert iv.hi == pytest.approx(-np.linalg.eigvalsh(K)[-1] / c, rel=1e-12)
+
+    def test_overflow_is_no_verdict(self):
+        # the root -1e310 itself overflows
+        sys_ = scalar_system(1e-10, 1e300, 1.0)
+        with pytest.raises(NoConvergence, match="diagonal Duffin values overflow"):
             exact_definiteness_interval(sys_)
 
 

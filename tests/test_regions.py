@@ -380,7 +380,7 @@ class TestPackedUnion:
                     audit = check_inclusion(spectrum, u)
                     out.append((audit.assigned, audit.margins.tobytes(), audit.worst))
                 pair = unions[Method.BRAUER], unions[Method.MODAL_OVAL_ROWSUM]
-                out.append(compare_regions(*pair, samples=5000))
+                out.append(compare_regions(*pair, 64))
             return out
 
         expect = outputs()
@@ -1166,16 +1166,36 @@ def all_unions(n, seed):
 SYSTEMS = [(1, 0), (3, 2), (6, 4), (12, 1)]
 
 
-def direct_comparison(u1, u2, samples, seed=0):
-    """compare_regions with each sample's membership from its best margin."""
+def direct_comparison(u1, u2, resolution):
+    """compare_regions with each cell's membership from the best margin at
+    its centre."""
     box = u1.bounding_box().merge(u2.bounding_box())
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(box.xmin, box.xmax, samples) + 1j * rng.uniform(box.ymin, box.ymax, samples)
+    n = resolution
+    dx, dy = (box.xmax - box.xmin) / n, (box.ymax - box.ymin) / n
+    cx = box.xmin + (np.arange(n) + 0.5) * dx
+    cy = box.ymin + (np.arange(n) + 0.5) * dy
+    z = cx[None, :] + 1j * cy[:, None]
     in1, in2 = (u.best_margin(z)[0] >= 0.0 for u in (u1, u2))
     area = (box.xmax - box.xmin) * (box.ymax - box.ymin)
     return RegionComparison(
-        float(np.mean(in1)) * area, float(np.mean(in2)) * area, int(np.sum(in1 & ~in2)), samples
+        float(np.mean(in1)) * area, float(np.mean(in2)) * area, int(np.sum(in1 & ~in2)), n * n
     )
+
+
+def scaled_union(u, s, order=slice(None)):
+    """u with its packed parameters scaled by s, q and double-oval bounds by
+    s**2, which maps the union to s times itself; its primitives taken in
+    the given order."""
+    kind = u.primitives
+    if isinstance(kind, regions._Disks):
+        packed = regions._Disks(s * kind.center[order], s * kind.radius[order])
+    elif isinstance(kind, regions._Ovals):
+        plus, minus, r, q = (a[order] for a in (kind.plus, kind.minus, kind.r, kind.q))
+        packed = regions._Ovals(s * plus, s * minus, s * r, s * s * q)
+    else:
+        a, b, bound = kind.a[order], kind.b[order], kind.bound[order]
+        packed = regions._DoubleOvals(s * kind.plus, s * kind.minus, a, b, s * s * bound)
+    return RegionUnion(u.method, packed, tuple(u.mode_labels)[order])
 
 
 def assert_membership(u, z):
@@ -1217,37 +1237,74 @@ class TestMembership:
         assert u.membership_many(z)[: len(edge)].all()
 
     def test_one_value_and_spans_at_the_float_limits(self):
+        # unions of bare foci (n = 1 BRAUER double ovals, zero-radius disks)
+        # alone and against a live union: joint boxes of zero width, of
+        # subnormal width and near the float limits
         u, _ = system_union(3, Method.MODAL_OVAL_NORM, seed=2)
         f = u.primitives[0].focus_plus
-        for z in (
-            np.full(1000, f),
-            np.full(1000, 0.3 + 0.2j),
-            5e-324 * np.arange(1000) + 0j,
-            1e-300 * np.arange(1000) * (1 + 1j),
-            np.array([-1.7e308, 1.7e308, 1.7e308j, -1.7e308j, f] * 200),
+        pairs = []
+        for points in (
+            [f],
+            [0.3 + 0.2j],
+            [f, f + 1e-300j],
+            5e-324 * np.arange(4),
+            1e-300 * np.arange(4) * (1 + 1j),
+            [-1e307, 1e307],
+            [-1e307j, 1e307j],
         ):
-            assert_membership(u, z)
+            bare = RegionUnion(
+                Method.UNDAMPED_DISK_NORM,
+                [Disk(complex(p), 0.0) for p in points],
+                [(j,) for j in range(len(points))],
+            )
+            pairs += [(bare, bare), (bare, u), (u, bare)]
+        for seed in range(3):
+            brauer, _ = system_union(1, Method.BRAUER, seed=seed)
+            assert brauer.primitives.degenerate.all()
+            pairs += [(brauer, brauer), (brauer, u), (u, brauer)]
+        for u1, u2 in pairs:
+            for resolution in (32, 33):
+                assert compare_regions(u1, u2, resolution) == direct_comparison(u1, u2, resolution)
 
     def test_margins_only_in_a_narrow_band(self, monkeypatch):
         union, _ = system_union(12, Method.MODAL_OVAL_ROWSUM, seed=1)
-        box = union.bounding_box()
-        rng = np.random.default_rng(0)
-        z = rng.uniform(box.xmin, box.xmax, 200_000) + 1j * rng.uniform(box.ymin, box.ymax, 200_000)
         evaluated = []
         margins = regions._Ovals.margins
-        monkeypatch.setattr(
-            regions._Ovals,
-            "margins",
-            lambda kind, z, rows=None: evaluated.append(z.size) or margins(kind, z, rows),
-        )
-        assert union.membership_many(z).any()
-        assert sum(evaluated) < 0.15 * z.size
+
+        def counting(kind, z, rows=None):
+            evaluated.append(z.size if rows is not None else len(kind) * z.size)
+            return margins(kind, z, rows)
+
+        monkeypatch.setattr(regions._Ovals, "margins", counting)
+        cmp_ = compare_regions(union, union)
+        assert cmp_.area_first > 0.0
+        # two rasters of 12 ovals on 512 x 512 cells
+        assert sum(evaluated) < 2 * 0.03 * 12 * 512**2
 
     @pytest.mark.parametrize("n,seed", SYSTEMS)
     def test_compare_regions_equals_a_direct_evaluation(self, n, seed):
         unions = all_unions(n, seed)
         for u1, u2 in zip(unions, unions[1:] + unions[:1]):
-            assert compare_regions(u1, u2) == direct_comparison(u1, u2, 200_000)
+            for resolution in (32, 33, 64, 512):
+                got = compare_regions(u1, u2, resolution)
+                assert got == direct_comparison(u1, u2, resolution)
+
+    @pytest.mark.parametrize("n,seed", SYSTEMS)
+    def test_compare_regions_scales_with_the_unions(self, n, seed):
+        # scaling by s = 2**k scales the joint box, the cell centres and
+        # every margin and variation bound exactly, so the cells stay the
+        # same and the areas scale by s**2 bit for bit
+        unions = all_unions(n, seed)
+        for u1, u2 in zip(unions, unions[1:] + unions[:1]):
+            want = compare_regions(u1, u2, 128)
+            reverse = slice(None, None, -1)
+            assert compare_regions(*(scaled_union(u, 1.0, reverse) for u in (u1, u2)), 128) == want
+            for k in (-40, -8, 8, 40):
+                s = 2.0**k
+                got = compare_regions(scaled_union(u1, s), scaled_union(u2, s), 128)
+                assert got.area_first == want.area_first * (s * s)
+                assert got.area_second == want.area_second * (s * s)
+                assert got.subset_violations == want.subset_violations
 
 
 def ring_search(ca, lam):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from ovalbounds.matdense import DampedSystem, Spectrum, SymMatrix, spectral_norm
 from ovalbounds.modal import ModalForm, modal_split, mode_foci, to_modal
 from ovalbounds.regions import (
     RIGOROUS_METHODS,
+    Disk,
     Method,
     QuasiOval,
     RegionUnion,
@@ -302,18 +305,40 @@ class TestDofPermutation:
 
 
 class TestCompareRegions:
-    def test_fewer_than_one_sample_refused(self):
+    def test_resolution_below_32_refused(self):
         form, split, foci = pipeline(random_system(2, 41))
         u = build_regions(form, split, foci, Method.MODAL_OVAL_NORM)
-        for samples in (0, -1):
-            with pytest.raises(InputError, match="samples"):
-                compare_regions(u, u, samples=samples)
+        for resolution in (31, 0, -1):
+            with pytest.raises(InputError, match="resolution must be at least 32"):
+                compare_regions(u, u, resolution)
+
+    def test_joint_box_not_finite_refused(self):
+        unit = RegionUnion(Method.UNDAMPED_DISK_NORM, (Disk(0j, 1.0),), ((0,),))
+        huge = RegionUnion(Method.UNDAMPED_DISK_NORM, (Disk(0j, 1e300),), ((0,),))
+        ends = (Disk(-1.7e308 + 0j, 0.0), Disk(1.7e308 + 0j, 0.0))
+        wide = RegionUnion(Method.UNDAMPED_DISK_NORM, ends, ((0,), (1,)))
+        # whose box overflows without a warning
+        oval = RegionUnion(Method.MODAL_OVAL_NORM, (QuasiOval(1 + 0j, -1 + 0j, 1e300),), ((0,),))
+        # an infinite area, an infinite width times a zero height, an
+        # infinite box
+        pairs = ((huge, unit), (unit, huge), (wide, wide), (unit, wide), (oval, unit))
+        for u1, u2 in pairs:
+            with pytest.raises(InputError, match="joint bounding box is not finite"):
+                compare_regions(u1, u2)
+
+    def test_fields_are_python_numbers(self):
+        form, split, foci = pipeline(random_system(3, 31))
+        u1 = build_regions(form, split, foci, Method.BRAUER)
+        u2 = build_regions(form, split, foci, Method.MODAL_OVAL_ROWSUM)
+        cmp_ = compare_regions(u1, u2, 64)
+        assert [type(v) for v in dataclasses.astuple(cmp_)] == [float, float, int, int]
+        assert cmp_.samples == 64 * 64
 
     def test_identical_unions(self):
         sys_ = random_system(3, 31)
         form, split, foci = pipeline(sys_)
         u = build_regions(form, split, foci, Method.MODAL_OVAL_NORM)
-        cmp_ = compare_regions(u, u, samples=20000, seed=5)
+        cmp_ = compare_regions(u, u)
         assert cmp_.area_first == cmp_.area_second
         assert cmp_.subset_violations == 0
 
@@ -324,7 +349,7 @@ class TestCompareRegions:
             form, split, foci = pipeline(sys_)
             brauer = build_regions(form, split, foci, Method.BRAUER)
             cassini = build_regions(form, split, foci, Method.MODAL_OVAL_ROWSUM)
-            cmp_ = compare_regions(brauer, cassini, samples=50000, seed=seed)
+            cmp_ = compare_regions(brauer, cassini)
             assert cmp_.subset_violations == 0
             assert cmp_.area_first <= cmp_.area_second + 1e-12
 
@@ -335,7 +360,7 @@ class TestCompareRegions:
             form, split, foci = pipeline(sys_)
             ovals = build_regions(form, split, foci, Method.UNDAMPED_OVAL_NORM)
             disks = build_regions(form, split, foci, Method.UNDAMPED_DISK_NORM)
-            cmp_ = compare_regions(ovals, disks, samples=50000, seed=seed)
+            cmp_ = compare_regions(ovals, disks)
             if cmp_.area_first <= cmp_.area_second:
                 wins += 1
         assert wins >= 9
@@ -345,8 +370,8 @@ class TestCompareRegions:
         form, split, foci = pipeline(sys_)
         u1 = build_regions(form, split, foci, Method.MODAL_OVAL_NORM)
         u2 = build_regions(form, split, foci, Method.UNDAMPED_OVAL_NORM)
-        a = compare_regions(u1, u2, samples=10000, seed=9)
-        b = compare_regions(u1, u2, samples=10000, seed=9)
+        a = compare_regions(u1, u2)
+        b = compare_regions(u1, u2)
         assert a == b
 
 
