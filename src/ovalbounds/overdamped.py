@@ -105,10 +105,12 @@ def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float
     (3, n, n).
 
     With |mu| = 2**e t, e the larger of 0 and mu's binary exponent, the
-    matrix is Q(mu) / 4**e = t^2 M + (t / 2**e) C + K / 4**e.  The powers of
-    two keep it finite where Q(mu) would overflow, and elsewhere scale
-    Q(mu)'s terms exactly, so x and the signs of f and g, which are all the
-    search reads, are those of Q(mu).  A matrix that overflows all the same
+    matrix is Q(mu) / 4**e = t^2 M + t (C / 2**e) + K / 4**e.  The powers of
+    two keep it finite where Q(mu) would overflow.  They scale the matrices
+    C and K, not a factor that would underflow once 2e > 1074, so each term
+    is exact unless its entries are subnormal themselves, and x and the
+    signs of f and g, which are all the search reads, are those of Q(mu).
+    A matrix that overflows all the same
     (dsyevr then finds no eigenvalue or an infinite one), a quadratic form
     that is not finite and positive where it must be, or Duffin values that
     overflow raise NoConvergence."""
@@ -117,7 +119,7 @@ def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float
     e = max(0, math.frexp(mu)[1])
     t = math.ldexp(mu, -e)
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = t * t * M + math.ldexp(t, -e) * C + math.ldexp(1.0, -2 * e) * K
+        Q = t * t * M + t * np.ldexp(C, -e) + np.ldexp(K, -2 * e)
     w, v, found, _, info = scipy.linalg.lapack.dsyevr(Q, range="I", il=n, iu=n)
     if info:
         raise NoConvergence(f"dsyevr failed with info {info} at mu = {mu}")

@@ -567,7 +567,7 @@ def _pack(prims) -> _Kind:
 def _block_disks(x0, x1, y0, y1):
     """Centres z0 and radii delta of the disks about the rectangles
     [x0, x1] x [y0, y1], elementwise."""
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    cx, cy = 0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1  # no overflow near the float limit
     hx, hy = np.maximum(cx - x0, x1 - cx), np.maximum(cy - y0, y1 - cy)
     return cx + 1j * cy, np.hypot(hx, hy)
 
@@ -1086,8 +1086,13 @@ def _raster(kind: _Kind, rows, box: Box, resolution: int):
         raise InputError("resolution must be at least 32")
     B, nb = BLOCK_CELLS, -(-resolution // BLOCK_CELLS)
     side = nb * B
-    cx = box.xmin + (np.arange(side) + 0.5) * ((box.xmax - box.xmin) / resolution)
-    cy = box.ymin + (np.arange(side) + 0.5) * ((box.ymax - box.ymin) / resolution)
+    # the cells past the grid sit on the box's far edges, so that near the
+    # float limit they stay finite, as do the blocks' extents
+    with np.errstate(over="ignore"):
+        cx, cy = (
+            np.minimum(lo + (np.arange(side) + 0.5) * ((hi - lo) / resolution), hi)
+            for lo, hi in ((box.xmin, box.xmax), (box.ymin, box.ymax))
+        )
     # the mask viewed as (leaf row, cell row, leaf column, cell column), and
     # the leaves some primitive fills whole
     mask = np.zeros((side, side), dtype=bool)
@@ -1144,8 +1149,8 @@ def component_analysis(u: RegionUnion, resolution: int = 512) -> ComponentAnalys
     padded[jy, jx] = True
     held.append((np.repeat(np.flatnonzero(degenerate), foci.shape[1]), (jy * side + jx).ravel()))
 
-    # labelled over the whole leaves, whose cells past the grid lie outside
-    # the padded box, so that no primitive holds them
+    # labelled over the whole leaves, whose cells past the grid lie on the
+    # padded box's far edges, so that no primitive holds them
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     labels, count = scipy.ndimage.label(padded, structure=structure, output=int)
 

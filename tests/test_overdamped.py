@@ -282,6 +282,23 @@ class TestIntervalSearch:
         assert iv.lo == pytest.approx(-c / np.linalg.eigvalsh(M)[-1], rel=1e-12)
         assert iv.hi == pytest.approx(-np.linalg.eigvalsh(K)[-1] / c, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e70, 1.2e70])
+    def test_stiffness_counts_where_its_scale_underflows(self, c):
+        # M = 1e-100 I, C = c I: the Duffin ends lie near -1e170, where
+        # mu's binary exponent e is about 565 and 4**-e underflows, but
+        # K / 4**e is a normal matrix.  lambda_max(Q(mu)) = m mu^2 + c mu +
+        # lambda_max(K), so the interval is between its roots, and empty at
+        # c = 1e70, where c^2 < 4 m lambda_max(K)
+        m, K = 1e-100, 1.67e239 * np.array([[1.0, 0.9], [0.9, 1.0]])
+        sys_ = DampedSystem(SymMatrix(m * np.eye(2)), SymMatrix(c * np.eye(2)), SymMatrix(K))
+        iv = exact_definiteness_interval(sys_)
+        k = 1.9 * 1.67e239
+        disc = c * c - 4.0 * m * k
+        assert iv.empty == (disc < 0.0)
+        if not iv.empty:
+            assert iv.lo == pytest.approx((-c - np.sqrt(disc)) / (2.0 * m), rel=1e-12)
+            assert iv.hi == pytest.approx((-c + np.sqrt(disc)) / (2.0 * m), rel=1e-12)
+
     def test_overflow_is_no_verdict(self):
         # the root -1e310 itself overflows
         sys_ = scalar_system(1e-10, 1e300, 1.0)

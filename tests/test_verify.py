@@ -17,6 +17,7 @@ from ovalbounds.regions import (
     component_analysis,
 )
 from ovalbounds.verify import (
+    RegionComparison,
     check_inclusion,
     compare_regions,
     linearize,
@@ -325,6 +326,27 @@ class TestCompareRegions:
         for u1, u2 in pairs:
             with pytest.raises(InputError, match="joint bounding box is not finite"):
                 compare_regions(u1, u2)
+
+    def test_box_edges_toward_the_largest_float(self):
+        # points alone, on a line: the joint box has zero height and a
+        # finite width, and the cells past a 33-cell grid would lie beyond
+        # the largest float.  A point at the middle column's cell centres,
+        # which share the box's one y, puts that column in u1 and not in u2
+        def points(*ps):
+            return RegionUnion(
+                Method.UNDAMPED_DISK_NORM, [Disk(p, 0.0) for p in ps], [(j,) for j in range(len(ps))]
+            )
+
+        for lo, hi in ((0.0, 1.7e308), (1e308, 1.7e308), (-1e308, 7.9e307)):
+            for axis in (1.0, 1j):
+                for resolution in (32, 33):
+                    mid = lo + (resolution // 2 + 0.5) * ((hi - lo) / resolution)
+                    ends, both = points(lo * axis, hi * axis), points(lo * axis, hi * axis, mid * axis)
+                    cells = resolution * resolution
+                    assert compare_regions(both, ends, resolution) == RegionComparison(
+                        0.0, 0.0, resolution, cells
+                    )
+                    assert compare_regions(ends, both, resolution) == RegionComparison(0.0, 0.0, 0, cells)
 
     def test_fields_are_python_numbers(self):
         form, split, foci = pipeline(random_system(3, 31))
