@@ -158,7 +158,10 @@ class ModeFoci:
 def to_modal(sys: DampedSystem) -> ModalForm:
     """Modal form of a damped system: omega ascending, D = Phi.T C Phi."""
     w2, Phi = gen_sym_def_eig(sys.K, sys.M)
-    D = Phi.T @ sys.C.array @ Phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = Phi.T @ sys.C.array @ Phi
+    if not np.isfinite(D).all():
+        raise InputError("the modal damping overflows: eigenvalues lie beyond the float range")
     return ModalForm(Phi, np.sqrt(w2), SymMatrix(0.5 * (D + D.T)))
 
 

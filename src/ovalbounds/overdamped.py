@@ -5,15 +5,16 @@ A system is overdamped when some mu < 0 makes mu^2 M + mu C + K negative
 definite; the set of such mu is an open interval separating the 2n real
 eigenvalues into the lower and upper group.  The certificates here are
 sufficient conditions computed from the diagonal modal split.  The exact
-references are certified searches.  The interval comes from Duffin's
-minimax: every x bounds it by the roots p_minus(x) <= p_plus(x) of
-x'Mx t^2 + x'Cx t + x'Kx, so the diagonal entries give an outer bracket, and
-each side then steps to the Duffin value of the top eigenvector of the pencil
-at its end, never passing the interval because that eigenvector's quadratic
-lies below the convex largest pencil eigenvalue and touches it there.  The
-minimal damping ratio comes from tangent cuts on the logarithm of a concave
-smallest pencil eigenvalue.  Each probe is one eigensolve whose eigenvector
-gives the (sub)gradient.
+references are certified searches on one pencil, (C; tM + K/t) with
+t = -mu, whose smallest eigenvalue lambda(t) exceeds 1 exactly on the
+interval and peaks at the minimal damping ratio (Duffin's minimax).  Every x
+bounds the interval by the roots p_minus(x) <= p_plus(x) of
+x'Mx mu^2 + x'Cx mu + x'Kx, so the diagonal entries give an outer bracket,
+and each side then steps to the Duffin value of the pencil's eigenvector at
+its end, never passing the interval because that eigenvector's Rayleigh
+quotient lies above lambda and touches it there.  The minimal damping ratio
+comes from tangent cuts on the concave log lambda in log t.  Each probe is
+one eigensolve whose eigenvector gives the (super)gradient.
 """
 
 from __future__ import annotations
@@ -98,68 +99,36 @@ class EtaEnvelope:
 _DUFFIN_STEPS = 200
 
 
-def _probe(MCK: np.ndarray, mu: float) -> tuple[float, float, tuple[float, float] | None]:
-    """f = lambda_max(Q(mu)) / 4**e, its subgradient g = x'(2 mu M + C)x /
-    2**e and the Duffin values of its unit eigenvector x, None when c <= 2
-    sqrt(mk) with m = x'Mx, c = x'Cx, k = x'Kx; MCK stacks M, C and K as
-    (3, n, n).
-
-    With |mu| = 2**e t, e the larger of 0 and mu's binary exponent, the
-    matrix is Q(mu) / 4**e = t^2 M + t (C / 2**e) + K / 4**e.  The powers of
-    two keep it finite where Q(mu) would overflow.  They scale the matrices
-    C and K, not a factor that would underflow once 2e > 1074, so each term
-    is exact unless its entries are subnormal themselves, and x and the
-    signs of f and g, which are all the search reads, are those of Q(mu).
-    A matrix that overflows all the same
-    (dsyevr then finds no eigenvalue or an infinite one), a quadratic form
-    that is not finite and positive where it must be, or Duffin values that
-    overflow raise NoConvergence."""
-    M, C, K = MCK
-    n = len(M)
-    e = max(0, math.frexp(mu)[1])
-    t = math.ldexp(mu, -e)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = t * t * M + t * np.ldexp(C, -e) + np.ldexp(K, -2 * e)
-    w, v, found, _, info = scipy.linalg.lapack.dsyevr(Q, range="I", il=n, iu=n)
-    if info:
-        raise NoConvergence(f"dsyevr failed with info {info} at mu = {mu}")
-    if found != 1 or not math.isfinite(w[0]):
-        raise NoConvergence(f"Q(mu) overflows at mu = {mu}")
-    x = v[:, 0]
-    m, c, k = ((MCK.reshape(3 * n, n) @ x).reshape(3, n) @ x).tolist()
-    if not (0.0 < m < math.inf and 0.0 < k < math.inf and math.isfinite(c)):
-        raise NoConvergence(f"the Duffin quadratic is not finite and positive at mu = {mu}")
-    roots = real_roots(m, c, k)
-    if roots is not None and not math.isfinite(roots[0]):
-        raise NoConvergence(f"the Duffin values overflow at mu = {mu}")
-    return float(w[0]), 2.0 * t * m + math.ldexp(c, -e), roots
-
-
 def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> DefinitenessInterval:
     """Compute the definiteness interval by Duffin steps from the diagonal.
 
-    For a fixed x, q_x(mu) = x'Q(mu)x / x'x is a convex quadratic whose
-    roots p_minus(x) <= p_plus(x) are the Duffin values, and
-    f(mu) = lambda_max(Q(mu)) is the maximum of all q_x, hence convex.  The
-    interval {f < 0} lies in (p_minus(x), p_plus(x)) for every x, so the
-    diagonal Duffin values L = max_i p_minus(e_i) and R = min_i p_plus(e_i),
-    plain arithmetic on diag(M), diag(C) and diag(K), bracket it from
-    outside.  Each side probes f at its end mu and moves to the Duffin value
-    of the top unit eigenvector x there.  q_x lies below f and has f's value
-    and slope x'(2 mu M + C)x at mu, so its root lies between the tangent
-    (Newton) step and the interval: the ends move inward monotonically and
-    never pass it.  A side stops when its step is at most tol |mu| (the
-    ends are never 0) or at a probe with f <= 0.  Once both have stopped,
-    the midpoint between them is probed: with f < 0 there the ends, outer
+    With t = -mu and B = tM + K/t, Q(mu) = -t (C - B), so mu lies in the
+    interval exactly when lambda(t) = lambda_min(C; B) > 1, the pencil that
+    min_damping_d maximises.  For a fixed x, rho_x(t) = x'Cx / x'Bx is at
+    least lambda(t), and rho_x = 1 at t = -p_minus(x), -p_plus(x), the
+    roots of x'Mx mu^2 + x'Cx mu + x'Kx or Duffin values.  The interval
+    lies in (p_minus(x), p_plus(x)) for every x, so the diagonal Duffin
+    values L = max_i p_minus(e_i) and R = min_i p_plus(e_i), plain
+    arithmetic on diag(M), diag(C) and diag(K), bracket it from outside.
+    Each side probes the pencil at its end and moves to the Duffin value of
+    the eigenvector x there, scaled to a largest entry of 1.  rho_x lies
+    above lambda and touches it at the probe, so its root lies between the
+    probe and the interval: the ends move inward monotonically and never
+    pass it.  A side stops when its step is at most tol |mu| (the ends are
+    never 0) or at a probe with lambda >= 1.  Once both have stopped, the
+    midpoint between them is probed: with lambda > 1 there the ends, outer
     bounds of the interval, are returned; otherwise the midpoint joins the
-    side its subgradient points away from, and that side steps on from it.
+    side its slope points away from, and that side steps on from it.
 
-    The interval is empty when some x has c <= 2 sqrt(mk) (a diagonal entry,
-    or a probe's eigenvector: then q_x >= 0 everywhere), when a probe with
-    f >= 0 has a subgradient pointing outward (then f >= 0 on both sides of
-    it), or when the two sides cross (then f > 0 everywhere).  All three are
-    certificates, so the verdict does not depend on tol.  A start or probe
-    that overflows raises NoConvergence instead of giving a verdict.
+    log lambda is concave in log t, and each probe's x gives its slope.  The
+    interval is empty when some x has c <= 2 sqrt(mk) (a diagonal entry, or
+    a probe's eigenvector: then rho_x <= 1 everywhere), when a probe with
+    lambda <= 1 has a slope pointing outward (then lambda <= 1 on the side
+    of the interval too), or when the two sides cross.  All three are
+    certificates, so the verdict does not depend on tol.  No probe needs
+    scaling: from L to R, t m_jj + k_jj / t <= c_jj for every j, so the
+    entries of B are bounded by C's.  A start or probe that overflows
+    raises NoConvergence instead of giving a verdict.
     """
     M, C, K = sys.M.array, sys.C.array, sys.K.array
     ends = [-math.inf, 0.0]
@@ -170,19 +139,33 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
         if not math.isfinite(roots[0]):
             raise NoConvergence("diagonal Duffin values overflow")
         ends = [max(ends[0], roots[0]), min(ends[1], roots[1])]
-    MCK = np.stack((M, C, K))
-    outward = (1.0, -1.0)  # per side, the sign of f' that rules the interval out
+    n, MCK = len(M), np.stack((M, C, K))
+
+    def probe(mu):
+        """lambda, its slope and the Duffin values of x, None when c <= 2
+        sqrt(mk) with m = x'Mx, c = x'Cx, k = x'Kx."""
+        lam, g, x = _pencil_bottom(M, C, K, -mu)
+        x = x / x[np.argmax(np.abs(x))]
+        m, c, k = ((MCK.reshape(3 * n, n) @ x).reshape(3, n) @ x).tolist()
+        if not (0.0 < m < math.inf and 0.0 < k < math.inf and math.isfinite(c)):
+            raise NoConvergence(f"the Duffin quadratic is not finite and positive at mu = {mu}")
+        roots = real_roots(m, c, k)
+        if roots is not None and not math.isfinite(roots[0]):
+            raise NoConvergence(f"the Duffin values overflow at mu = {mu}")
+        return lam, g, roots
+
+    outward = (1.0, -1.0)  # per side, the sign of the slope that rules the interval out
     active = [True, True]
     for _ in range(_DUFFIN_STEPS):
         if ends[0] >= ends[1]:
             return DefinitenessInterval.none()
         if not any(active):
             # the ends stay outside the interval, so a point inside is still
-            # owed.  A midpoint with f >= 0 lies on the side its subgradient
+            # owed.  A midpoint with lambda <= 1 lies on the side its slope
             # points away from, and that side steps on from it.
             mid = 0.5 * (ends[0] + ends[1])
-            f, g, roots = _probe(MCK, mid)
-            if f < 0.0:
+            lam, g, roots = probe(mid)
+            if lam > 1.0:
                 return DefinitenessInterval(ends[0], ends[1])
             if roots is None or g == 0.0:
                 return DefinitenessInterval.none()
@@ -192,8 +175,8 @@ def exact_definiteness_interval(sys: DampedSystem, tol: float = 1e-10) -> Defini
             if not active[side]:
                 continue
             mu = ends[side]
-            f, g, roots = _probe(MCK, mu)
-            if f <= 0.0:
+            lam, g, roots = probe(mu)
+            if lam >= 1.0:
                 active[side] = False
                 continue
             if roots is None or g * outward[side] >= 0.0:
@@ -289,15 +272,16 @@ def duffin_values(sys: DampedSystem, x) -> tuple[float, float] | None:
     return roots[1], roots[0]
 
 
-def _pencil_bottom(M: np.ndarray, C: np.ndarray, K: np.ndarray, s: float) -> tuple[float, float]:
-    """lambda = lambda_min(C; B) with B = tM + K/t, t = e^s, and the slope
-    -x'(tM - K/t)x of log lambda in s for its eigenvector x with x'Bx = 1."""
-    t = np.exp(s)
+def _pencil_bottom(
+    M: np.ndarray, C: np.ndarray, K: np.ndarray, t: float
+) -> tuple[float, float, np.ndarray]:
+    """lambda = lambda_min(C; B) with B = tM + K/t, the slope x'Kx/t - t x'Mx
+    of log lambda in log t and its eigenvector x with x'Bx = 1."""
     w, z, _, _, info = scipy.linalg.lapack.dsygvx(C, t * M + K / t, range="I", il=1, iu=1)
     if info:
         raise NoConvergence(f"dsygvx failed with info {info} at t = {t}")
     x = z[:, 0]
-    return float(w[0]), float(x @ (K @ x) / t - t * (x @ (M @ x)))
+    return float(w[0]), float(x @ (K @ x) / t - t * (x @ (M @ x))), x
 
 
 def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
@@ -327,8 +311,8 @@ def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
     # n eps lambda_max(C; B) of 0, and B = tM + K/t >= 2 sqrt(min M min K) I.
     noise = 8.0 * len(wm) * np.finfo(float).eps * spectral_norm(C) / (2.0 * np.sqrt(wm[0] * wk[0]))
     a, b = 0.5 * np.log(wk[0] / wm[-1]), 0.5 * np.log(wk[-1] / wm[0])
-    la, ga = _pencil_bottom(M, C, K, a)
-    lb, gb = _pencil_bottom(M, C, K, b)
+    la, ga, _ = _pencil_bottom(M, C, K, np.exp(a))
+    lb, gb, _ = _pencil_bottom(M, C, K, np.exp(b))
     widths = [np.inf, np.inf, b - a]  # after each probe
     while min(la, lb) > 0.0 and ga > 0.0 > gb and b - a > tol:
         ha, hb = np.log(la), np.log(lb)
@@ -339,7 +323,7 @@ def min_damping_d(sys: DampedSystem, tol: float = 1e-8) -> tuple[float, bool]:
             s = 0.5 * (a + b)
             if not a < s < b:  # adjacent floats: the bracket cannot shrink
                 break
-        lam, g = _pencil_bottom(M, C, K, s)
+        lam, g, _ = _pencil_bottom(M, C, K, np.exp(s))
         if g >= 0.0:
             a, la, ga = s, lam, g
         if g <= 0.0:

@@ -572,27 +572,20 @@ def _block_disks(x0, x1, y0, y1):
     return cx + 1j * cy, np.hypot(hx, hy)
 
 
-def _certify(kind: _Kind, z0: np.ndarray, delta: np.ndarray, rows=None) -> np.ndarray:
-    """What the kind's ``variation`` bound settles about each primitive on
-    each disk |z - z0| <= delta, as int8 (primitives x disks), or with
-    ``rows`` about primitive rows[k] on disk k only: 1 where m(z0) >
+def _certify(kind: _Kind, z0: np.ndarray, delta: np.ndarray, rows) -> np.ndarray:
+    """What the kind's ``variation`` bound settles about primitive rows[k]
+    on the disk |z - z0[k]| <= delta[k], as int8: 1 where m(z0) >
     variation, so every point's computed margin is positive; -1 where m(z0)
     < -variation, so every one is negative; 0 where undecided.  Evaluated
-    in chunks of about CHUNK_ELEMENTS pairs."""
-    if rows is None:
-        out = np.empty((len(kind), len(z0)), dtype=np.int8)
-        step = max(1, CHUNK_ELEMENTS // len(kind))
-    else:
-        out, step = np.empty(len(z0), dtype=np.int8), CHUNK_ELEMENTS
+    in chunks of CHUNK_ELEMENTS disks."""
+    out = np.empty(len(z0), dtype=np.int8)
     with _quiet():
-        for lo in range(0, len(z0), step):
-            at = slice(lo, lo + step)
-            chunk = None if rows is None else rows[at]
-            m = kind.margins(z0[at], chunk)
-            bound = kind.variation(z0[at], delta[at], chunk)
-            block = out[..., at]
-            block[...] = m > bound
-            block -= m < -bound
+        for lo in range(0, len(z0), CHUNK_ELEMENTS):
+            at = slice(lo, lo + CHUNK_ELEMENTS)
+            m = kind.margins(z0[at], rows[at])
+            bound = kind.variation(z0[at], delta[at], rows[at])
+            out[at] = m > bound
+            out[at] -= m < -bound
     return out
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -634,8 +637,9 @@ class TestNumericalFailure:
 
     def test_huge_damping_keeps_a_verdict(self, tmp_path, capsys):
         # strongly overdamped, and the pencil Q(mu) overflows at the outer
-        # diagonal Duffin value: the search probes Q(mu) / 4**e in its place,
-        # where these once exited 4 with "Q(mu) overflows"
+        # diagonal Duffin value: the search probes (C; tM + K/t) at t = -mu,
+        # whose entries C bounds there; these once exited 4 with "Q(mu)
+        # overflows"
         huge = tmp_path / "huge.json"
         huge.write_text(
             '{"n": 2, "M": [2, 0.5, 0.5, 1], "C": [1e160, 0, 0, 1e160], "K": [1, 0.2, 0.2, 3]}'
@@ -659,6 +663,26 @@ class TestNumericalFailure:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["analyze", "regions", "overdamped", "verify"])
+    def test_modal_damping_overflow_is_one_error_line(self, tmp_path, command):
+        # every entry is finite, but D = Phi' C Phi = 1e310 is not: the
+        # eigenvalue -1e310 lies beyond the float range.  Under -W error a
+        # floating point warning would end in a traceback.
+        path = tmp_path / "sys.json"
+        path.write_text('{"n": 1, "M": [1e-10], "C": [1e300], "K": [1]}')
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ovalbounds.cli", command, "--input", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == (
+            "error: the modal damping overflows: eigenvalues lie beyond the float range\n"
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         code = cli.main(["analyze", "--input", str(tmp_path / "nope.json")])
         assert code == 2

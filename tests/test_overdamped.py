@@ -161,14 +161,18 @@ class TestIntervalSearch:
         for seed in range(4):
             over = cli.random_system(50, seed, overdamped=True)
             under = DampedSystem(over.M, SymMatrix(0.5 * over.C.array), over.K)
-            for sys_, empty, most in ((over, False, 16), (under, True, 8)):
+            for sys_, empty, most in ((over, False, 9), (under, True, 1)):
                 eigensolves.clear()
                 assert exact_definiteness_interval(sys_).empty == empty
-                # Duffin steps from the diagonal: no eigvalsh of M, no SVD of C
-                assert set(eigensolves) == {"dsyevr"}
+                # Duffin steps from the diagonal: no eigvalsh of M, no SVD of
+                # C, and each probe one dsygvx of the pencil (C; tM + K/t)
+                assert set(eigensolves) == {"dsygvx"}
                 assert len(eigensolves) <= most
                 eigensolves.clear()
                 min_damping_d(sys_)
+                # the bracket from eigvalsh of M and K, then the same probe
+                assert eigensolves[:2] == ["eigvalsh", "eigvalsh"]
+                assert set(eigensolves[2:]) == {"dsygvx"}
                 assert len(eigensolves) <= 25
 
     @pytest.mark.parametrize(
@@ -269,12 +273,15 @@ class TestIntervalSearch:
             ([[1.0]], 1e155, [[1.0]]),
             ([[1.0]], 1e200, [[1.0]]),
             ([[1.0]], 1e300, [[1.0]]),
+            ([[2.0, 0.5], [0.5, 1.0]], 8e307, [[1.0, 0.2], [0.2, 3.0]]),
         ],
     )
     def test_huge_damping_keeps_a_verdict(self, M, c, K):
         # strongly overdamped, with C = c I: Q(mu) overflows at the outer
-        # Duffin value, Q(mu) / 4**e does not.  Up to relative O(1 / c^2),
-        # the interval is (-c / lambda_max(M), -lambda_max(K) / c).
+        # Duffin value, the pencil (C; tM + K/t) at t = -mu does not, as
+        # t m_jj + k_jj / t <= c there; at c = 8e307 its entries come near
+        # the float limit.  Up to relative O(1 / c^2), the interval is
+        # (-c / lambda_max(M), -lambda_max(K) / c).
         M, K = np.array(M), np.array(K)
         sys_ = DampedSystem(SymMatrix(M), SymMatrix(c * np.eye(len(M))), SymMatrix(K))
         iv = exact_definiteness_interval(sys_)
@@ -599,11 +606,12 @@ class TestMinDamping:
         s0, c, g1, g2 = 0.6095078625123933, 0.7710405334198935, 0.706113898437645, -0.9271797576704403
         calls = []
 
-        def lines(M, C, K, s):
+        def lines(M, C, K, t):
+            s = np.log(t)
             calls.append(s)
             assert len(calls) < 500
             h1, h2 = c + g1 * (s - s0), c + g2 * (s - s0)
-            return (float(np.exp(h1)), g1) if h1 < h2 else (float(np.exp(h2)), g2)
+            return (float(np.exp(h1)), g1, None) if h1 < h2 else (float(np.exp(h2)), g2, None)
 
         monkeypatch.setattr(overdamped, "_pencil_bottom", lines)
         sys_ = DampedSystem(SymMatrix(np.eye(2)), SymMatrix(np.diag([6.0, 10.0])), SymMatrix(np.diag([1.0, 4.0])))
